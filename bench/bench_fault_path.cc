@@ -325,12 +325,12 @@ class RemoteRunPager : public DataManager {
 
 // A 64-page read whose pager sits across a NetLink in reliable mode.
 // Sequential scans batch into multi-page data requests — fewer messages per
-// page — while random access must stay single-page. Args: {fault_ahead
-// on/off, fragment drop % on the wire}. The counters report message economy
+// page — while random access must stay single-page. Args: {fault_ahead_max
+// (1 = one request per page), fragment drop % on the wire}. The counters report message economy
 // (req_per_page, msgs_per_page) and the speculation waste (fa_unused) so
 // the E16 ledger stays honest.
 void RemoteReadOverLink(benchmark::State& state, bool sequential) {
-  const bool fault_ahead = state.range(0) != 0;
+  const auto fault_ahead_max = static_cast<uint32_t>(state.range(0));
   const double frag_drop = static_cast<double>(state.range(1)) / 100.0;
   constexpr VmSize kScanPages = 64;
 
@@ -341,7 +341,7 @@ void RemoteReadOverLink(benchmark::State& state, bool sequential) {
   config.name = "remote-a";
   auto host_a = std::make_unique<Kernel>(config);
   config.name = "remote-b";
-  config.vm.fault_ahead = fault_ahead;  // The ablation under test (client side).
+  config.vm.fault_ahead_max = fault_ahead_max;  // The ablation under test (client side).
   auto host_b = std::make_unique<Kernel>(config);
 
   FaultInjector inj(42);
@@ -406,19 +406,19 @@ BENCHMARK(BM_PagerDeathRecovery)->Iterations(50)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PagingUnderDiskFaults);
 BENCHMARK(BM_RpcOverLossyLink);
 BENCHMARK(BM_RemoteSequentialScan)
-    ->ArgNames({"fault_ahead", "frag_drop_pct"})
-    ->Args({0, 0})
+    ->ArgNames({"fault_ahead_max", "frag_drop_pct"})
     ->Args({1, 0})
-    ->Args({0, 5})
+    ->Args({16, 0})
     ->Args({1, 5})
+    ->Args({16, 5})
     ->Iterations(20)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RemoteRandomScan)
-    ->ArgNames({"fault_ahead", "frag_drop_pct"})
-    ->Args({0, 0})
+    ->ArgNames({"fault_ahead_max", "frag_drop_pct"})
     ->Args({1, 0})
-    ->Args({0, 5})
+    ->Args({16, 0})
     ->Args({1, 5})
+    ->Args({16, 5})
     ->Iterations(20)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,5 +1,6 @@
-// E14 (§4.2/§7, after Li & Hudak): centralised vs sharded shared-memory
-// directory — an ablation over shard count × host count × write sharing.
+// E14 (§4.2/§7, after Li & Hudak): the sharded shared-memory directory — an
+// ablation over shard count × host count × write sharing. One shard is the
+// centralised §4.2 server, so the shard axis starts at the baseline.
 //
 // Every host maps the same region; each performs a fixed sweep of cold
 // write faults over its own *private* pages (disjoint working sets) plus an
@@ -14,14 +15,13 @@
 //   makespan  = max over directory instances of service_ns
 //   speedup   = sum(service_ns) / makespan
 //
-// The centralised arm (the old SharedMemoryServer — one directory, one
-// lock, one request port) serialises every action, so its makespan equals
-// the total and its throughput stays flat no matter the shard axis. The
-// sharded arm partitions the page space by SplitMix64 hash across N
-// independent directories, so disjoint-page load spreads and throughput
-// grows near-linearly in N — bounded only by hash balance. Write sharing
-// adds forwards/recalls against the hinted owner; the hint counters in the
-// JSON show the chase machinery at work.
+// One shard (one directory, one lock, one request port) serialises every
+// action, so its makespan equals the total. N shards partition the page
+// space by SplitMix64 hash across N independent directories, so
+// disjoint-page load spreads and throughput grows near-linearly in N —
+// bounded only by hash balance. Write sharing adds forwards/recalls against
+// the hinted owner; the hint counters in the JSON show the chase machinery
+// at work.
 //
 // Output: the JSON document on stdout (ci.sh bench captures it into
 // BENCH_shm_coherence.json); a human-readable table on stderr.
@@ -37,7 +37,6 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
 #include "src/managers/shm/shm_broker.h"
-#include "src/managers/shm/shm_server.h"
 
 namespace {
 
@@ -58,7 +57,6 @@ std::unique_ptr<Kernel> MakeHost(const std::string& name) {
 }
 
 struct Cell {
-  std::string arm;  // "centralized" | "sharded"
   size_t shards = 1;
   int hosts = 0;
   int write_pct = 0;
@@ -86,10 +84,9 @@ void HostSweep(Task& task, VmOffset base, int host_index, int write_pct) {
   }
 }
 
-Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
+Cell RunCell(size_t shards, int hosts, int write_pct) {
   Cell cell;
-  cell.arm = arm;
-  cell.shards = arm == "centralized" ? 1 : shards;
+  cell.shards = shards;
   cell.hosts = hosts;
   cell.write_pct = write_pct;
 
@@ -99,19 +96,9 @@ Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
 
   const VmSize region_pages = kSharedPages + static_cast<VmSize>(hosts) * kPrivatePages;
 
-  std::unique_ptr<SharedMemoryServer> server;
-  std::unique_ptr<ShmBroker> broker;
-  SendRight central_region;
-  ShmRegionInfoArgs info;
-  if (arm == "centralized") {
-    server = std::make_unique<SharedMemoryServer>(options);
-    server->Start();
-    central_region = server->GetRegion("bench", region_pages * kPage);
-  } else {
-    broker = std::make_unique<ShmBroker>("bench", shards, options);
-    broker->Start();
-    info = broker->GetRegion("bench", region_pages * kPage);
-  }
+  ShmBroker broker("bench", shards, options);
+  broker.Start();
+  ShmRegionInfoArgs info = broker.GetRegion("bench", region_pages * kPage);
 
   std::vector<std::unique_ptr<Kernel>> kernels;
   std::vector<std::shared_ptr<Task>> tasks;
@@ -119,12 +106,7 @@ Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
   for (int h = 0; h < hosts; ++h) {
     kernels.push_back(MakeHost("h" + std::to_string(h)));
     tasks.push_back(kernels.back()->CreateTask());
-    if (arm == "centralized") {
-      bases.push_back(
-          tasks.back()->VmAllocateWithPager(region_pages * kPage, central_region, 0).value());
-    } else {
-      bases.push_back(ShmBroker::MapRegion(*tasks.back(), info).value());
-    }
+    bases.push_back(ShmBroker::MapRegion(*tasks.back(), info).value());
   }
 
   auto start = std::chrono::steady_clock::now();
@@ -143,15 +125,9 @@ Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
                                            std::chrono::steady_clock::now() - start)
                                            .count());
 
-  if (arm == "centralized") {
-    cell.counters = server->directory().counters();
-    cell.total_ns = cell.counters.service_ns;
-    cell.makespan_ns = cell.counters.service_ns;
-  } else {
-    cell.counters = broker->aggregate_counters();
-    cell.total_ns = cell.counters.service_ns;
-    cell.makespan_ns = broker->max_shard_service_ns();
-  }
+  cell.counters = broker.aggregate_counters();
+  cell.total_ns = cell.counters.service_ns;
+  cell.makespan_ns = broker.max_shard_service_ns();
   cell.actions = cell.total_ns / kServiceCostNs;
   cell.speedup =
       cell.makespan_ns ? static_cast<double>(cell.total_ns) / cell.makespan_ns : 0.0;
@@ -161,19 +137,14 @@ Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
   for (auto& t : tasks) {
     t.reset();
   }
-  if (server) {
-    server->Stop();
-  }
-  if (broker) {
-    broker->Stop();
-  }
+  broker.Stop();
   return cell;
 }
 
 void EmitCell(const Cell& c, bool last) {
   const ShmCounters& k = c.counters;
   std::printf(
-      "    {\"arm\": \"%s\", \"shards\": %zu, \"hosts\": %d, \"write_pct\": %d,\n"
+      "    {\"shards\": %zu, \"hosts\": %d, \"write_pct\": %d,\n"
       "     \"actions\": %llu, \"total_service_ns\": %llu, \"makespan_ns\": %llu,\n"
       "     \"speedup\": %.3f, \"throughput_actions_per_ms\": %.1f, \"wall_ms\": %llu,\n"
       "     \"counters\": {\"read_grants\": %llu, \"write_grants\": %llu,"
@@ -181,7 +152,7 @@ void EmitCell(const Cell& c, bool last) {
       " \"hint_hits\": %llu, \"hint_repairs\": %llu, \"stale_hints\": %llu,"
       " \"ownership_transfers\": %llu, \"downgrades\": %llu,"
       " \"recall_acks\": %llu, \"recall_timeouts\": %llu}}%s\n",
-      c.arm.c_str(), c.shards, c.hosts, c.write_pct, (unsigned long long)c.actions,
+      c.shards, c.hosts, c.write_pct, (unsigned long long)c.actions,
       (unsigned long long)c.total_ns, (unsigned long long)c.makespan_ns, c.speedup,
       c.throughput_actions_per_ms, (unsigned long long)c.wall_ms,
       (unsigned long long)k.read_grants, (unsigned long long)k.write_grants,
@@ -201,27 +172,22 @@ int main() {
   const int write_pcts[] = {0, 25};
 
   std::fprintf(stderr,
-               "E14: centralised vs sharded shm directory (modeled %llu ns/action)\n"
-               "  %-12s %6s %5s %7s %9s %12s %8s %10s %9s\n",
-               (unsigned long long)kServiceCostNs, "arm", "shards", "hosts", "write%",
-               "actions", "makespan_us", "speedup", "thru/ms", "hint_hits");
+               "E14: sharded shm directory, 1 shard = centralised (modeled %llu ns/action)\n"
+               "  %6s %5s %7s %9s %12s %8s %10s %9s\n",
+               (unsigned long long)kServiceCostNs, "shards", "hosts", "write%", "actions",
+               "makespan_us", "speedup", "thru/ms", "hint_hits");
 
   std::vector<Cell> cells;
   for (int hosts : host_axis) {
     for (int wp : write_pcts) {
       for (size_t shards : shard_axis) {
-        // The centralised arm does not vary along the shard axis; run it
-        // once per (hosts, write_pct) and let the flat line speak.
-        if (shards == shard_axis[0]) {
-          cells.push_back(RunCell("centralized", 1, hosts, wp));
-        }
-        cells.push_back(RunCell("sharded", shards, hosts, wp));
+        cells.push_back(RunCell(shards, hosts, wp));
       }
     }
   }
   for (const Cell& c : cells) {
-    std::fprintf(stderr, "  %-12s %6zu %5d %7d %9llu %12.1f %8.2f %10.1f %9llu\n",
-                 c.arm.c_str(), c.shards, c.hosts, c.write_pct, (unsigned long long)c.actions,
+    std::fprintf(stderr, "  %6zu %5d %7d %9llu %12.1f %8.2f %10.1f %9llu\n", c.shards,
+                 c.hosts, c.write_pct, (unsigned long long)c.actions,
                  c.makespan_ns / 1000.0, c.speedup, c.throughput_actions_per_ms,
                  (unsigned long long)c.counters.hint_hits);
   }
@@ -232,10 +198,10 @@ int main() {
   double thru[9] = {0};  // Indexed by shard count, hosts=2, write_pct=0.
   uint64_t hint_hits_sharing = 0;
   for (const Cell& c : cells) {
-    if (c.arm == "sharded" && c.hosts == 2 && c.write_pct == 0 && c.shards <= 8) {
+    if (c.hosts == 2 && c.write_pct == 0 && c.shards <= 8) {
       thru[c.shards] = c.throughput_actions_per_ms;
     }
-    if (c.arm == "sharded" && c.hosts == 2 && c.write_pct > 0) {
+    if (c.hosts == 2 && c.write_pct > 0) {
       hint_hits_sharing += c.counters.hint_hits;
     }
   }
@@ -263,10 +229,10 @@ int main() {
   std::printf("}\n");
 
   std::fprintf(stderr,
-               "\nshape: the centralised directory serialises every action (speedup 1.0,\n"
-               "flat throughput); the sharded directory spreads disjoint-page load by the\n"
-               "page-hash, so throughput grows near-linearly in shard count (monotonic=%s,\n"
-               "x%.2f at 4 shards). Write sharing drives forwards through the owner hint\n"
+               "\nshape: one shard (the centralised directory) serialises every action\n"
+               "(speedup 1.0); more shards spread disjoint-page load by the page-hash, so\n"
+               "throughput grows near-linearly in shard count (monotonic=%s, x%.2f at 4\n"
+               "shards). Write sharing drives forwards through the owner hint\n"
                "(hint_hits=%llu over the two-host cells).\n",
                monotonic ? "true" : "false", speedup4, (unsigned long long)hint_hits_sharing);
   return monotonic && speedup4 >= 2.0 && hint_hits_sharing > 0 ? 0 : 1;

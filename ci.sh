@@ -112,9 +112,10 @@ case "$mode" in
          [ "$name" = tenant_serving ]; then
         # bench_migration, bench_shm_coherence, and bench_tenant_serving are
         # plain sweep drivers that write their own JSON document to stdout
-        # (drop-rate x latency grid / centralised-vs-sharded ablation /
-        # multi-tenant serving arms with the pageout-clustering ablation;
-        # human table on stderr), not google-benchmark binaries.
+        # (drop-rate x latency grid / shard-count ablation from the 1-shard
+        # centralised baseline / multi-tenant serving arms plus the
+        # pageout_cluster_max 16-vs-1 dirty sweep; human table on stderr),
+        # not google-benchmark binaries.
         "$bin" > "BENCH_${name}.json"
       else
         "$bin" --benchmark_format=json --benchmark_out_format=json > "BENCH_${name}.json"

@@ -1,7 +1,8 @@
 // Copy-on-reference task migration (§8.2): a working task is frozen on one
 // host, its address space is represented by memory objects, and a new task
 // on another host resumes the computation — pages move across the (NORMA)
-// network only as they are referenced.
+// network only as they are referenced. Exits non-zero unless the migrated
+// computation's accumulator is the one the unmigrated run would produce.
 //
 //   $ ./examples/migration_demo
 
@@ -101,5 +102,5 @@ int main() {
   moved.reset();
   worker.reset();
   migrator.Stop();
-  return 0;
+  return got == expect ? 0 : 1;
 }

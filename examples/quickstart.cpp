@@ -1,6 +1,7 @@
 // Quickstart: boot a kernel, create tasks, use IPC, map a file from the
 // minimal filesystem server, modify it, and write it back — the §4.1 usage
-// example end to end.
+// example end to end. Exits non-zero unless the RPC reply, the VM round
+// trip and both file reads match what was sent and written.
 //
 //   $ ./examples/quickstart
 
@@ -8,6 +9,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -42,8 +44,10 @@ int main() {
   Message ping(1);
   ping.PushString("ping");
   Result<Message> pong = MsgRpc(service.send, std::move(ping));
-  std::printf("rpc reply: %s\n", pong.value().TakeString().value().c_str());
+  const std::string reply = pong.ok() ? pong.value().TakeString().value_or("") : "";
+  std::printf("rpc reply: %s\n", reply.c_str());
   echo->Join();
+  bool ok = reply == "pong: ping";
 
   // 3. Virtual memory (Table 3-3): allocate, write, protect.
   VmOffset mem = client->VmAllocate(8 * 4096).value();
@@ -52,6 +56,7 @@ int main() {
   char readback[64] = {};
   client->Read(mem, readback, sizeof(note));
   std::printf("vm round trip: %s\n", readback);
+  ok &= std::strcmp(readback, note) == 0;
 
   // 4. The §4.1 filesystem: read-whole-file / write-whole-file backed by an
   // external pager.
@@ -67,11 +72,17 @@ int main() {
   files.WriteFile("greeting", buf, contents.size());
 
   // fs_read_file returns new copy-on-write virtual memory (§4.1).
-  FsClient::ReadResult file = files.ReadFile("greeting").value();
+  Result<FsClient::ReadResult> read = files.ReadFile("greeting");
+  if (!read.ok()) {
+    std::printf("fs_read_file failed: %s\n", KernReturnName(read.status()));
+    return 1;
+  }
+  FsClient::ReadResult file = read.value();
   std::vector<char> data(file.size + 1, 0);
   client->Read(file.address, data.data(), file.size);
   std::printf("file contents (%llu bytes, mapped at 0x%llx): %s\n",
               (unsigned long long)file.size, (unsigned long long)file.address, data.data());
+  ok &= std::string(data.data()) == contents;
 
   // Randomly change the contents — other readers still see the original
   // (copy-on-write), until we explicitly store the changes back.
@@ -81,10 +92,23 @@ int main() {
     char c = 'A' + static_cast<char>(rng() % 26);
     client->Write(at, &c, 1);
   }
+  std::vector<char> written(file.size + 1, 0);
+  client->Read(file.address, written.data(), file.size);
   files.WriteFile("greeting", file.address, file.size);
-  FsClient::ReadResult changed = files.ReadFile("greeting").value();
-  client->Read(changed.address, data.data(), changed.size);
+  // The server invalidates cached copies with an asynchronous
+  // pager_flush_request, so a re-read may briefly still see the old data.
+  for (int tries = 0; tries < 200; ++tries) {
+    Result<FsClient::ReadResult> changed = files.ReadFile("greeting");
+    if (changed.ok()) {
+      client->Read(changed.value().address, data.data(), changed.value().size);
+    }
+    if (data == written) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   std::printf("after random changes:      %s\n", data.data());
+  ok &= data == written;
 
   // 5. Kernel statistics (vm_statistics).
   VmStatistics st = client->VmStats();
@@ -96,6 +120,6 @@ int main() {
   client.reset();
   server.reset();
   fs.StopServer();
-  std::printf("done.\n");
-  return 0;
+  std::printf("%s\n", ok ? "done." : "MISMATCH");
+  return ok ? 0 : 1;
 }

@@ -47,8 +47,11 @@ int main() {
   config.page_size = kPage;
   auto kernel = std::make_unique<Kernel>(config);
   // The recovery manager's permanent storage: a data disk and a log disk.
-  SimDisk data_disk(1024, kPage, &kernel->clock());
-  SimDisk log_disk(4096, 512, &kernel->clock());
+  // They outlive the crash below, so they charge a clock of their own, not
+  // the kernel's, which dies with it.
+  SimClock disk_clock;
+  SimDisk data_disk(1024, kPage, &disk_clock);
+  SimDisk log_disk(4096, 512, &disk_clock);
   auto rm = std::make_unique<RecoveryManager>(&data_disk, &log_disk, kPage);
   rm->Start();
 

@@ -10,8 +10,7 @@ Kernel::Kernel(Config config) : config_(std::move(config)) {
   paging_disk_ = std::make_unique<SimDisk>(config_.backing_blocks, config_.page_size, &clock_,
                                            config_.disk_latency, config_.fault_injector);
   // The VM layer shares the kernel-wide injector (vm.collapse suppression).
-  config_.vm.fault_injector = config_.fault_injector;
-  vm_ = std::make_unique<VmSystem>(phys_.get(), config_.vm);
+  vm_ = std::make_unique<VmSystem>(phys_.get(), config_.vm, config_.fault_injector);
   // Boot the default pager: a trusted data manager known to the kernel at
   // system initialization time (§3.4.1).
   default_pager_ = std::make_unique<DefaultPager>(paging_disk_.get());

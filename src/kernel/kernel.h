@@ -39,7 +39,8 @@ class Kernel {
     DiskLatencyModel disk_latency;  // Paging disk latency model.
     VmSystem::Config vm;            // VM tunables.
     // Optional fault injector attached to the paging disk ("disk.read" /
-    // "disk.write" points). Must outlive the kernel.
+    // "disk.write" points) and the VM system ("vm.collapse"). Must outlive
+    // the kernel.
     FaultInjector* fault_injector = nullptr;
   };
 

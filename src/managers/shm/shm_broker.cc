@@ -133,6 +133,7 @@ ShmCounters ShmBroker::aggregate_counters() const {
     total.downgrades += c.downgrades;
     total.forward_drops += c.forward_drops;
     total.recall_retries += c.recall_retries;
+    total.recall_acks += c.recall_acks;
     total.recall_timeouts += c.recall_timeouts;
     total.service_ns += c.service_ns;
   }

@@ -5,7 +5,8 @@
 // the named region" — returning the region's identity and one memory object
 // per shard (ShmRegionInfoArgs). After that it is out of the picture: all
 // coherence traffic flows kernel ↔ shard, so the broker can never become
-// the serialisation point the old centralised server was.
+// a serialisation point. A 1-shard broker is the centralised §4.2 server:
+// one directory, one lock, one request port.
 //
 // Placement: local clients call GetRegion() directly. Remote hosts send
 // shm_get_region to a NetLink proxy of service_port() (GetRegionVia); the

@@ -6,6 +6,20 @@
 #include "src/pager/data_manager.h"
 
 namespace mach {
+namespace {
+
+// How long (virtual ns) to wait for recalled data before retrying the
+// forward, and how many retries before concluding the owner was clean.
+constexpr uint64_t kRecallDeadlineNs = 150'000'000;
+constexpr uint32_t kRecallRetries = 3;
+// Virtual time charged per idle service pass (see the header comment).
+constexpr uint64_t kIdleTickNs = 25'000'000;
+// Small charge per *serviced* pass so a continuously busy shard still
+// expires deadlines eventually — a writeback would have to be
+// kRecallDeadlineNs / kBusyTickNs messages behind to time out falsely.
+constexpr uint64_t kBusyTickNs = 1'000'000;
+
+}  // namespace
 
 ShmDirectory::ShmDirectory(ShmOptions options)
     : options_(std::move(options)),
@@ -149,9 +163,9 @@ void ShmDirectory::BeginRecall(uint64_t region_id, VmOffset offset, PageState& p
     return;  // Recall already in flight; the new request just queues.
   }
   page.recall = kind;
-  page.retries_left = options_.recall_retries;
+  page.retries_left = kRecallRetries;
   page.chased = false;
-  page.deadline_ns = clock_->NowNs() + options_.recall_deadline_ns;
+  page.deadline_ns = clock_->NowNs() + kRecallDeadlineNs;
   recalls_.fetch_add(1, std::memory_order_relaxed);
   const bool via_hint = page.hint != 0;
   if (via_hint && page.hint != page.owner) {
@@ -200,8 +214,7 @@ void ShmDirectory::ServePending(uint64_t region_id, Region& region, VmOffset off
           }
         }
         BeginRecall(region_id, offset, page,
-                    (writer_waiting || !options_.downgrade_reads) ? RecallKind::kFlush
-                                                                  : RecallKind::kDowngrade);
+                    writer_waiting ? RecallKind::kFlush : RecallKind::kDowngrade);
       }
       return;
     }
@@ -250,11 +263,9 @@ void ShmDirectory::HandleDataRequest(uint64_t region_id, SendRight request_port,
       // owner. Dirty data arrives as pager_data_write (FIFO on the object
       // port guarantees it precedes any later request from that kernel); a
       // clean copy is flushed silently, which the deadline in Tick
-      // resolves. A read request only demotes the owner when configured.
+      // resolves. A read request demotes the owner to a reader instead.
       const bool wants_write = (desired_access & kVmProtWrite) != 0;
-      BeginRecall(region_id, off, page,
-                  (wants_write || !options_.downgrade_reads) ? RecallKind::kFlush
-                                                             : RecallKind::kDowngrade);
+      BeginRecall(region_id, off, page, wants_write ? RecallKind::kFlush : RecallKind::kDowngrade);
       page.pending.push_back(PendingRequest{request_port, desired_access});
       // The demanded page is deferred behind a recall; speculating past it
       // would answer the run out of order for nothing — the faulter is
@@ -366,7 +377,7 @@ void ShmDirectory::HandleLockCompleted(uint64_t region_id, uint64_t completer, V
       // no copy. Chase the exact owner record right away.
       if (!page.chased) {
         page.chased = true;
-        page.deadline_ns = clock_->NowNs() + options_.recall_deadline_ns;
+        page.deadline_ns = clock_->NowNs() + kRecallDeadlineNs;
         SendForward(page.owner_port, off, page.recall, /*exempt=*/false);
       }
       continue;
@@ -413,15 +424,11 @@ void ShmDirectory::HandlePortDeath(uint64_t port_id) {
 
 void ShmDirectory::Tick(bool serviced) {
   std::lock_guard<std::mutex> g(mu_);
-  if (!serviced && options_.idle_tick_ns != 0) {
-    // Virtual time advances mostly on idle passes: a deadline cannot expire
-    // while recalled data is still queued behind other messages (the busy
-    // charge is a factor recall_deadline_ns/busy_tick_ns smaller), so the
-    // "no data ⇒ clean copy" inference below is deterministic.
-    clock_->Charge(options_.idle_tick_ns);
-  } else if (serviced && options_.busy_tick_ns != 0) {
-    clock_->Charge(options_.busy_tick_ns);
-  }
+  // Virtual time advances mostly on idle passes: a deadline cannot expire
+  // while recalled data is still queued behind other messages (the busy
+  // charge is a factor kRecallDeadlineNs/kBusyTickNs smaller), so the
+  // "no data ⇒ clean copy" inference below is deterministic.
+  clock_->Charge(serviced ? kBusyTickNs : kIdleTickNs);
   if (active_recalls_.empty()) {
     return;
   }
@@ -451,7 +458,7 @@ void ShmDirectory::Tick(bool serviced) {
     }
     --page.retries_left;
     recall_retries_.fetch_add(1, std::memory_order_relaxed);
-    page.deadline_ns = now + options_.recall_deadline_ns;
+    page.deadline_ns = now + kRecallDeadlineNs;
     if (!page.chased && page.hint != page.owner) {
       // The hinted owner never answered: chase through the exact record.
       page.chased = true;

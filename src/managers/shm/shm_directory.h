@@ -5,8 +5,9 @@
 // One directory instance serves the subset of a region's pages that hash to
 // its shard. It is deliberately *not* a DataManager — ShmShard adapts the
 // external-pager upcalls onto it — so the protocol can be unit-driven and so
-// the centralised SharedMemoryServer and every shard of a ShmBroker run the
-// byte-identical state machine (the property-test oracle depends on that).
+// every shard of a ShmBroker, including the single shard of a 1-shard
+// (centralised) broker, runs the byte-identical state machine (the
+// property-test oracle depends on that).
 //
 // Per page (single writer / multiple readers, with dynamic ownership):
 //   * The *owner* is the last kernel granted write access; its request port
@@ -18,9 +19,9 @@
 //     bounded by 2 because the exact owner record is always one hop away.
 //   * A request while a foreign owner exists *forwards* to the hinted
 //     owner: a write request recalls the page (pager_flush_request), a read
-//     request — with downgrade_reads on — demotes the owner to a reader
-//     instead (pager_clean_request + a write lock), so read-mostly sharing
-//     stops destroying the writer's copy.
+//     request demotes the owner to a reader instead (pager_clean_request +
+//     a write lock), so read-mostly sharing stops destroying the writer's
+//     copy.
 //   * Forwards can be lost ("shm.forward_drop"); the recall deadline
 //     retries them a bounded number of times before concluding the owner's
 //     copy was clean (a clean copy is flushed silently — nothing comes
@@ -62,23 +63,10 @@ struct ShmOptions {
   SimClock* clock = nullptr;
   // Optional injector for the shm.* fault points. Not owned.
   FaultInjector* injector = nullptr;
-  // How long (virtual ns) to wait for recalled data before retrying the
-  // forward, and how many retries before concluding the owner was clean.
-  uint64_t recall_deadline_ns = 150'000'000;
-  uint32_t recall_retries = 3;
-  // Virtual time charged per idle service pass (see header comment).
-  uint64_t idle_tick_ns = 25'000'000;
-  // Small charge per *serviced* pass so a continuously busy shard still
-  // expires deadlines eventually — a writeback would have to be
-  // recall_deadline_ns / busy_tick_ns messages behind to time out falsely.
-  uint64_t busy_tick_ns = 1'000'000;
   // Modeled directory service cost charged to ShmCounters::service_ns per
   // coherence action (grant / invalidation / forward / settle). Used by
   // bench_shm_coherence to compute a CPU-count-independent makespan.
   uint64_t service_cost_ns = 0;
-  // Read requests demote a foreign owner to reader (clean + write lock)
-  // instead of flushing its copy.
-  bool downgrade_reads = true;
   // This directory's position in the broker's hash partition. Speculative
   // (fault-ahead) pages outside this shard's stripe are never answered; the
   // defaults describe a standalone (unsharded) directory that owns every

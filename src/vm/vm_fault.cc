@@ -113,7 +113,7 @@ KernReturn VmSystem::PrepareEntry(TaskVm& task, VmOffset addr, VmProt access) {
 // --- adaptive fault-ahead ---------------------------------------------------
 
 uint32_t VmSystem::ComputeFaultAheadWindow(MapEntry* holder, VmOffset object_offset) {
-  if (!config_.fault_ahead || config_.fault_ahead_max <= 1) {
+  if (config_.fault_ahead_max == 1) {
     return 1;
   }
   const VmSize ps = page_size();
@@ -466,7 +466,7 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
         // an internal object never pushed to the default pager, or a frame
         // shortage — speculation never dips into the reserve.
         std::vector<VmPage*> extras;
-        if (fa_window > 1 && object == first_object && config_.fault_ahead) {
+        if (fa_window > 1 && object == first_object) {
           for (uint32_t i = 1; i < fa_window; ++i) {
             VmOffset eoff = offset + VmOffset{i} * page_size();
             if (eoff >= object->size() ||

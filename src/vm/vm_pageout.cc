@@ -5,10 +5,10 @@
 // active queue through the inactive queue (second-chance on the hardware
 // reference bit) and writing dirty victims back to their data managers with
 // pager_data_write. A dirty victim is clustered with its object's
-// contiguous dirty neighbours so one message carries the whole run
-// (Config::pageout_clustering; runs split at non-contiguous, clean, busy or
-// pinned pages). All sends on this path are non-blocking: a manager that
-// cannot accept its dirty data promptly has the data *parked* with the
+// contiguous dirty neighbours so one message carries the whole run (at most
+// Config::pageout_cluster_max pages; runs split at non-contiguous, clean,
+// busy or pinned pages). All sends on this path are non-blocking: a manager
+// that cannot accept its dirty data promptly has the data *parked* with the
 // trusted default pager instead (§6.2.2), so an errant manager can never
 // wedge the kernel's memory pool.
 //
@@ -57,7 +57,7 @@ void VmSystem::StopPageoutDaemon() {
 void VmSystem::PageoutDaemonMain() {
   std::unique_lock<std::mutex> lk(pageout_mu_);
   while (!shutting_down_) {
-    pageout_wake_.wait_for(lk, config_.pageout_interval);
+    pageout_wake_.wait_for(lk, kPageoutInterval);
     if (shutting_down_) {
       break;
     }
@@ -260,9 +260,6 @@ uint32_t VmSystem::PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmOb
 
 std::vector<VmPage*> VmSystem::CollectPageoutClusterLocked(VmObject* object, VmPage* seed) {
   std::vector<VmPage*> run{seed};
-  if (!config_.pageout_clustering || config_.pageout_cluster_max <= 1) {
-    return run;
-  }
   const VmSize ps = page_size();
   const size_t cap = config_.pageout_cluster_max;
   // Claims the page at `off` for the run if it is a settled dirty
@@ -308,12 +305,27 @@ std::vector<VmPage*> VmSystem::CollectPageoutClusterLocked(VmObject* object, VmP
   return run;
 }
 
+std::vector<VmPage*> VmSystem::SortedDirtyLocked(const std::vector<VmPage*>& pages,
+                                                 VmProt prot) {
+  std::vector<VmPage*> dirty;
+  for (VmPage* page : pages) {
+    // Lower the mappings before sampling so no modification slips past
+    // the copy.
+    Pmap::PageProtect(phys_, page->frame, prot);
+    if (page->dirty || phys_->IsModified(page->frame)) {
+      page->dirty = true;
+      dirty.push_back(page);
+    }
+  }
+  std::sort(dirty.begin(), dirty.end(),
+            [](const VmPage* a, const VmPage* b) { return a->offset < b->offset; });
+  return dirty;
+}
+
 std::vector<std::vector<VmPage*>> VmSystem::BuildPageoutRuns(
     std::vector<VmPage*> dirty_sorted) const {
   const VmSize ps = page_size();
-  const size_t cap = (config_.pageout_clustering && config_.pageout_cluster_max > 0)
-                         ? config_.pageout_cluster_max
-                         : 1;
+  const size_t cap = config_.pageout_cluster_max;
   std::vector<std::vector<VmPage*>> runs;
   for (VmPage* p : dirty_sorted) {
     if (!runs.empty() && runs.back().size() < cap &&
@@ -576,16 +588,7 @@ void VmSystem::HandleFlush(const std::shared_ptr<VmObject>& object, VmOffset off
   // Invalidate every victim's mappings first, then sample: the dirty ones
   // go back to the manager in contiguous multi-page runs before anything
   // is freed (invalidation writes back modifications first, §3.4.1).
-  std::vector<VmPage*> dirty;
-  for (VmPage* page : victims) {
-    Pmap::PageProtect(phys_, page->frame, kVmProtNone);
-    if (page->dirty || phys_->IsModified(page->frame)) {
-      page->dirty = true;
-      dirty.push_back(page);
-    }
-  }
-  std::sort(dirty.begin(), dirty.end(),
-            [](const VmPage* a, const VmPage* b) { return a->offset < b->offset; });
+  std::vector<VmPage*> dirty = SortedDirtyLocked(victims, kVmProtNone);
   if (object->pager.valid()) {
     for (const std::vector<VmPage*>& run : BuildPageoutRuns(std::move(dirty))) {
       // kFailed (unprotected mode) leaves the run unwritten; the victims
@@ -614,20 +617,15 @@ void VmSystem::HandleClean(const std::shared_ptr<VmObject>& object, VmOffset off
   if (!object->alive) {
     return;
   }
-  std::vector<VmPage*> dirty;
+  std::vector<VmPage*> candidates;
   for (VmPage* page : object->pages) {
-    if (page->offset < TruncPage(offset, ps) || page->offset >= offset + length ||
-        page->busy || page->pin_count > 0) {
-      continue;
-    }
-    // Write-protect before sampling so no modification slips past the copy.
-    Pmap::PageProtect(phys_, page->frame, kVmProtRead | kVmProtExecute);
-    if (page->dirty || phys_->IsModified(page->frame)) {
-      dirty.push_back(page);
+    if (page->offset >= TruncPage(offset, ps) && page->offset < offset + length &&
+        !page->busy && page->pin_count == 0) {
+      candidates.push_back(page);
     }
   }
-  std::sort(dirty.begin(), dirty.end(),
-            [](const VmPage* a, const VmPage* b) { return a->offset < b->offset; });
+  // Write-protect, so the copy sent below stays the page's latest data.
+  std::vector<VmPage*> dirty = SortedDirtyLocked(candidates, kVmProtRead | kVmProtExecute);
   if (object->pager.valid()) {
     for (const std::vector<VmPage*>& run : BuildPageoutRuns(std::move(dirty))) {
       if (WritePageoutRun(olk, object, run, /*park_on_failure=*/false) ==

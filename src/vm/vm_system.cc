@@ -17,16 +17,19 @@
 
 namespace mach {
 
-VmSystem::VmSystem(PhysicalMemory* phys, Config config) : phys_(phys), config_(config) {
-  uint32_t frames = phys_->frame_count();
-  free_target_ = config.free_target != 0 ? config.free_target : std::max<uint32_t>(frames / 8, 4);
-  reserved_ = config.reserved != 0 ? config.reserved : std::max<uint32_t>(frames / 64, 2);
+VmSystem::VmSystem(PhysicalMemory* phys, Config config, FaultInjector* injector)
+    : phys_(phys),
+      config_(config),
+      injector_(injector),
+      free_target_(std::max<uint32_t>(phys->frame_count() / 8, 4)),
+      reserved_(std::max<uint32_t>(phys->frame_count() / 64, 2)) {
   // A PinBatch may hold this many frames pinned at once; keep it a small
   // fraction of physical memory so batching can never starve reclaim.
   pin_batch_cap_ = std::min<size_t>(QueueBatch::kCapacity,
-                                    std::max<size_t>(1, frames / 8));
-  // The wire decoder rejects runs beyond kPagerMaxRunPages, so never ask
-  // for more than that.
+                                    std::max<size_t>(1, phys_->frame_count() / 8));
+  // A cap of 1 is page-at-a-time. The wire decoder rejects runs beyond
+  // kPagerMaxRunPages, so never ask for more than that.
+  config_.pageout_cluster_max = std::max<uint32_t>(config_.pageout_cluster_max, 1);
   config_.fault_ahead_max =
       std::clamp<uint32_t>(config_.fault_ahead_max, 1, kPagerMaxRunPages);
   // Death notifications are delivered with non-blocking sends; a roomy
@@ -396,32 +399,31 @@ void VmSystem::TerminateObject(ChainLock& chain, const std::shared_ptr<VmObject>
     object->cached = false;
     // "When no references to a memory object remain, and all modifications
     // have been written back to the memory object, the kernel deallocates
-    // its rights" (§3.4.1): push dirty pages to the data manager first.
+    // its rights" (§3.4.1). Only an external object's manager can ever read
+    // the data again, so only its dirty pages go back: in sorted runs, like
+    // pageout, but never parked (the object's parked data is discarded
+    // below). An internal object can never be mapped again and the default
+    // pager frees its blocks on no-senders, so its pages are just freed.
     // Busy or pinned pages are orphaned — removed from the queues and left
     // resident; the in-transit owner or last unpinner frees them on seeing
     // !alive.
-    object->pages.ForEach([&](VmPage* page) {
+    std::vector<VmPage*> victims;
+    for (VmPage* page : object->pages) {
       if (page->busy || page->pin_count > 0) {
         PageRemoveFromQueue(page);
-        return;
+      } else {
+        victims.push_back(page);
       }
-      if (object->pager.valid() && !object->pager.IsDead()) {
-        Pmap::PageProtect(phys_, page->frame, kVmProtNone);
-        if (page->dirty || phys_->IsModified(page->frame)) {
-          PagerDataWriteArgs args;
-          args.offset = page->offset;
-          args.data.resize(page_size());
-          phys_->ReadFrame(page->frame, 0, args.data.data(), page_size());
-          if (IsOk(MsgSend(object->pager, EncodePagerDataWrite(args), kPoll))) {
-            counters_.pageouts.fetch_add(1, std::memory_order_relaxed);
-          } else if (config_.errant_manager_protection && parking_ != nullptr) {
-            parking_->Park(object->id(), page->offset, std::move(args.data));
-            counters_.parked_pageouts.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+    }
+    if (!object->internal && object->pager.valid() && !object->pager.IsDead()) {
+      for (const std::vector<VmPage*>& run :
+           BuildPageoutRuns(SortedDirtyLocked(victims, kVmProtNone))) {
+        WritePageoutRun(olk, object, run, /*park_on_failure=*/false);
       }
+    }
+    for (VmPage* page : victims) {
       PageFreeLocked(olk, page);
-    });
+    }
     // Deallocate the kernel's rights to the three ports; the data manager
     // receives death notifications for the request and name ports and can
     // perform its shutdown (§3.4.1). Order matters: dropping the pager send
@@ -533,7 +535,7 @@ VmSystem::Coverage VmSystem::FullyCoversSelf(const VmObject* object) const {
   // metadata walk for degenerate objects.
   const size_t metadata = size_t{object->resident_count} + object->paged_offsets.size() +
                           object->parked_offsets.size();
-  if (metadata > config_.collapse_scan_cap) {
+  if (metadata > kCollapseScanCap) {
     return Coverage::kCapExceeded;
   }
   // A pager may have provided unsolicited pages beyond size(); count
@@ -560,9 +562,6 @@ VmSystem::Coverage VmSystem::FullyCoversSelf(const VmObject* object) const {
 }
 
 void VmSystem::MaybeCollapse(const std::shared_ptr<VmObject>& object) {
-  if (!config_.shadow_collapse) {
-    return;
-  }
   bool opportunity = false;
   {
     lock_probe::Note();
@@ -582,9 +581,6 @@ void VmSystem::MaybeCollapse(const std::shared_ptr<VmObject>& object) {
 }
 
 void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& object) {
-  if (!config_.shadow_collapse) {
-    return;
-  }
   // Splice loop: absorb immediate shadows whose only reference is our
   // shadow pointer. Page migration is hash-table surgery on frames that
   // stay put — no copies and no blocking — under the child and parent
@@ -642,8 +638,7 @@ void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& ob
       counters_.collapse_denied.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (config_.fault_injector != nullptr &&
-        config_.fault_injector->ShouldFail(kFaultCollapse)) {
+    if (injector_ != nullptr && injector_->ShouldFail(kFaultCollapse)) {
       counters_.collapse_denied.fetch_add(1, std::memory_order_relaxed);
       return;  // Injected suppression (chaos coverage of long chains).
     }
@@ -706,8 +701,7 @@ void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& ob
           counters_.collapse_denied_scan_cap.fetch_add(1, std::memory_order_relaxed);
           break;
         case Coverage::kFull:
-          if (config_.fault_injector != nullptr &&
-              config_.fault_injector->ShouldFail(kFaultCollapse)) {
+          if (injector_ != nullptr && injector_->ShouldFail(kFaultCollapse)) {
             counters_.collapse_denied.fetch_add(1, std::memory_order_relaxed);
             break;
           }

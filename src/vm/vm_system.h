@@ -106,10 +106,6 @@ struct RegionInfo {
 class VmSystem {
  public:
   struct Config {
-    // Pageout targets, in frames. Zero = derive from frame count.
-    uint32_t free_target = 0;
-    uint32_t reserved = 0;  // §6.2.3 reserved pool floor.
-
     // How long a fault waits for a data manager before applying
     // `on_pager_timeout` (§6.2.1 failure options).
     Timeout pager_timeout = std::chrono::milliseconds(5000);
@@ -121,22 +117,6 @@ class VmSystem {
     // the active queue (the unprotected behaviour, for the ablation bench).
     bool errant_manager_protection = true;
 
-    // Background daemon scan interval.
-    std::chrono::milliseconds pageout_interval{25};
-
-    // Shadow-chain collapse (Mach's vm_object_collapse). When an
-    // intermediate shadow object's only reference is the single child
-    // shadowing it, the child absorbs its pages and splices it out of the
-    // chain. Off = chains grow without bound (the pre-collapse behaviour,
-    // kept for the ablation bench).
-    bool shadow_collapse = true;
-
-    // Upper bound on the number of coverage-metadata entries (resident
-    // pages + paged_offsets + parked_offsets) a chain-bypass check will
-    // examine. Bypasses declined by the cap are counted in both
-    // collapse_denied and collapse_denied_scan_cap.
-    size_t collapse_scan_cap = 1u << 20;
-
     // Lock-free (seqlock snapshot) address-map lookup on the fault path.
     // Off = every fault resolves its entry under the map's shared lock (the
     // lock-hierarchy-only behaviour, kept for the ablation bench). The
@@ -146,13 +126,11 @@ class VmSystem {
 
     // Clustered dirty pageout: when a dirty victim is written back, the
     // daemon gathers the object's contiguous dirty neighbours into one run
-    // and sends a single multi-page pager_data_write instead of one message
-    // per page. Runs split at non-contiguous, clean, busy or pinned pages.
-    // Off = page-at-a-time write-back (the pre-clustering behaviour, kept
-    // for the ablation bench).
-    bool pageout_clustering = true;
-
-    // Upper bound on pages per clustered write-back run.
+    // of at most this many pages and sends a single multi-page
+    // pager_data_write instead of one message per page. Runs split at
+    // non-contiguous, clean, busy or pinned pages. 1 = page-at-a-time
+    // write-back (the pre-clustering behaviour, kept for the ablation
+    // bench). Clamped to at least 1 at construction.
     uint32_t pageout_cluster_max = 16;
 
     // Adaptive fault-ahead: when a cache miss detects a sequential streak
@@ -160,26 +138,21 @@ class VmSystem {
     // busy+absent placeholders for a contiguous run of absent neighbours
     // and sends one multi-page pager_data_request covering the run. The
     // window scales 1→2→4→…→fault_ahead_max across consecutive sequential
-    // misses and collapses to 1 on random access. Off = one request per
-    // page (the pre-batching behaviour, kept for the ablation bench).
-    bool fault_ahead = true;
-
-    // Upper bound on pages per fault-ahead run; clamped to the wire cap
-    // kPagerMaxRunPages at construction.
+    // misses and collapses to 1 on random access. 1 = one request per page
+    // (the pre-batching behaviour, kept for the ablation bench). Clamped to
+    // [1, kPagerMaxRunPages] at construction.
     uint32_t fault_ahead_max = 16;
-
-    // Optional fault injection: the kFaultCollapse point randomly
-    // suppresses collapse opportunities so chaos soaks cover both collapsed
-    // and uncollapsed chains. Not owned.
-    FaultInjector* fault_injector = nullptr;
   };
 
   // FaultInjector point name: when it fires, one collapse opportunity is
-  // declined (counted in VmStatistics::collapse_denied).
+  // declined (counted in VmStatistics::collapse_denied). Firing on every
+  // hit is the collapse ablation: chains then grow without bound.
   static constexpr const char* kFaultCollapse = "vm.collapse";
 
+  // `injector` (optional, not owned) is consulted at the kFaultCollapse
+  // point, so chaos soaks cover both collapsed and uncollapsed chains.
   explicit VmSystem(PhysicalMemory* phys) : VmSystem(phys, Config{}) {}
-  VmSystem(PhysicalMemory* phys, Config config);
+  VmSystem(PhysicalMemory* phys, Config config, FaultInjector* injector = nullptr);
   ~VmSystem();
 
   VmSystem(const VmSystem&) = delete;
@@ -586,20 +559,25 @@ class VmSystem {
 
   // Whether `object` covers every page of [0, size()) by itself, derived
   // from residency and pager metadata (never an O(size) offset scan).
-  // kCapExceeded = the metadata was larger than Config::collapse_scan_cap.
+  // kCapExceeded = the metadata was larger than kCollapseScanCap.
   enum class Coverage { kFull, kPartial, kCapExceeded };
+  // Upper bound on the coverage-metadata entries (resident pages +
+  // paged_offsets + parked_offsets) one FullyCoversSelf check examines.
+  static constexpr size_t kCollapseScanCap = size_t{1} << 20;
   Coverage FullyCoversSelf(const VmObject* object) const;
 
   // --- pageout ------------------------------------------------------------
 
+  // The pageout daemon's scan interval.
+  static constexpr std::chrono::milliseconds kPageoutInterval{25};
   void PageoutDaemonMain();
   // Frees up to `want` frames from the inactive queue; returns the number
   // freed. Takes queue_mu_ and object locks (try_lock) internally; no locks
   // held on entry.
   uint32_t ReclaimPass(uint32_t want);
   // Writes one unqueued, settled page back to its manager (or parks it),
-  // clustering the object's contiguous dirty neighbours into the same
-  // pager_data_write run when Config::pageout_clustering is on. Caller
+  // clustering up to Config::pageout_cluster_max of the object's
+  // contiguous dirty neighbours into the same pager_data_write run. Caller
   // holds the owner's mu; returns the number of frames freed.
   uint32_t PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
                              VmPage* page);
@@ -608,9 +586,12 @@ class VmSystem {
   // result is sorted by offset, contains `seed`, and every member is
   // settled: !busy, pin_count == 0, dirty. Caller holds the owner's mu.
   std::vector<VmPage*> CollectPageoutClusterLocked(VmObject* object, VmPage* seed);
+  // Lowers each of `pages`' hardware mappings to `prot`, then samples the
+  // modify bit: returns the dirty ones (marked dirty) sorted by offset,
+  // ready for BuildPageoutRuns. Caller holds the owner's mu.
+  std::vector<VmPage*> SortedDirtyLocked(const std::vector<VmPage*>& pages, VmProt prot);
   // Splits sorted settled dirty pages of one object into contiguous runs of
-  // at most Config::pageout_cluster_max pages (always single-page runs when
-  // clustering is off).
+  // at most Config::pageout_cluster_max pages.
   std::vector<std::vector<VmPage*>> BuildPageoutRuns(std::vector<VmPage*> dirty_sorted) const;
   // Sends one pager_data_write covering `run` (contiguous, same object).
   // kWritten: accepted, paged_offsets updated. kParked: the manager did not
@@ -649,8 +630,12 @@ class VmSystem {
 
   PhysicalMemory* const phys_;
   Config config_;
-  uint32_t free_target_;
-  uint32_t reserved_;
+  FaultInjector* const injector_;
+  // Pageout targets, in frames, derived from the frame count: the daemon
+  // keeps free_target_ frames free, and only privileged allocations may
+  // dip below reserved_ (the §6.2.3 reserved pool floor).
+  const uint32_t free_target_;
+  const uint32_t reserved_;
 
   // Tier 2: chain structure, object lifecycle, registries (see the header
   // comment for the full order).

@@ -14,7 +14,6 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
 #include "src/managers/shm/shm_broker.h"
-#include "src/managers/shm/shm_server.h"
 
 namespace mach {
 namespace {
@@ -32,9 +31,10 @@ class ShmPropertyTest : public ::testing::TestWithParam<std::tuple<int, uint32_t
   static constexpr VmSize kPages = 6;
 
   void SetUp() override {
-    server_ = std::make_unique<SharedMemoryServer>(kPage);
+    // The centralised directory: one shard serves the whole region.
+    server_ = std::make_unique<ShmBroker>("prop", 1, ShmOptions{});
     server_->Start();
-    SendRight region = server_->GetRegion("prop", kPages * kPage);
+    ShmRegionInfoArgs region = server_->GetRegion("prop", kPages * kPage);
     const int hosts = std::get<0>(GetParam());
     for (int h = 0; h < hosts; ++h) {
       HostContext ctx;
@@ -45,7 +45,7 @@ class ShmPropertyTest : public ::testing::TestWithParam<std::tuple<int, uint32_t
       config.disk_latency = DiskLatencyModel{0, 0};
       ctx.kernel = std::make_unique<Kernel>(config);
       ctx.task = ctx.kernel->CreateTask();
-      ctx.base = ctx.task->VmAllocateWithPager(kPages * kPage, region, 0).value();
+      ctx.base = ShmBroker::MapRegion(*ctx.task, region).value();
       hosts_.push_back(std::move(ctx));
     }
   }
@@ -75,7 +75,7 @@ class ShmPropertyTest : public ::testing::TestWithParam<std::tuple<int, uint32_t
     return v;
   }
 
-  std::unique_ptr<SharedMemoryServer> server_;
+  std::unique_ptr<ShmBroker> server_;
   std::vector<HostContext> hosts_;
 };
 
@@ -153,11 +153,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- sharded-vs-centralised oracle ------------------------------------------
 //
-// The centralised SharedMemoryServer and a 4-shard ShmBroker run the same
-// ShmDirectory state machine, so an identical seeded write trace applied to
-// both arms must leave every host of both arms with byte-identical region
-// contents. The sharded arm differs only in *where* each page's directory
-// lives — any divergence is a partitioning or hint bug, not a protocol one.
+// A 1-shard (centralised) and a 4-shard ShmBroker run the same ShmDirectory
+// state machine, so an identical seeded write trace applied to both arms
+// must leave every host of both arms with byte-identical region contents.
+// The sharded arm differs only in *where* each page's directory lives — any
+// divergence is a partitioning or hint bug, not a protocol one.
 
 class ShmOracleTest : public ::testing::TestWithParam<uint32_t> {
  protected:
@@ -167,26 +167,21 @@ class ShmOracleTest : public ::testing::TestWithParam<uint32_t> {
   static constexpr int kSteps = 24;
 
   void BuildArms(FaultInjector* sharded_injector) {
-    server_ = std::make_unique<SharedMemoryServer>(kPage);
+    server_ = std::make_unique<ShmBroker>("central", 1, ShmOptions{});
     server_->Start();
-    SendRight region = server_->GetRegion("oracle", kPages * kPage);
+    ShmRegionInfoArgs region = server_->GetRegion("oracle", kPages * kPage);
     ShmOptions options;
     options.injector = sharded_injector;
     broker_ = std::make_unique<ShmBroker>("oracle", kShards, options);
     broker_->Start();
     ShmRegionInfoArgs info = broker_->GetRegion("oracle", kPages * kPage);
     for (int h = 0; h < kHosts; ++h) {
-      central_.push_back(MakeCtx("central" + std::to_string(h), [&](Task& task) {
-        return task.VmAllocateWithPager(kPages * kPage, region, 0).value();
-      }));
-      sharded_.push_back(MakeCtx("sharded" + std::to_string(h), [&](Task& task) {
-        return ShmBroker::MapRegion(task, info).value();
-      }));
+      central_.push_back(MakeCtx("central" + std::to_string(h), region));
+      sharded_.push_back(MakeCtx("sharded" + std::to_string(h), info));
     }
   }
 
-  template <typename MapFn>
-  HostContext MakeCtx(const std::string& name, MapFn map) {
+  HostContext MakeCtx(const std::string& name, const ShmRegionInfoArgs& region) {
     HostContext ctx;
     Kernel::Config config;
     config.name = name;
@@ -195,7 +190,7 @@ class ShmOracleTest : public ::testing::TestWithParam<uint32_t> {
     config.disk_latency = DiskLatencyModel{0, 0};
     ctx.kernel = std::make_unique<Kernel>(config);
     ctx.task = ctx.kernel->CreateTask();
-    ctx.base = map(*ctx.task);
+    ctx.base = ShmBroker::MapRegion(*ctx.task, region).value();
     return ctx;
   }
 
@@ -256,7 +251,7 @@ class ShmOracleTest : public ::testing::TestWithParam<uint32_t> {
     }
   }
 
-  std::unique_ptr<SharedMemoryServer> server_;
+  std::unique_ptr<ShmBroker> server_;
   std::unique_ptr<ShmBroker> broker_;
   std::vector<HostContext> central_;
   std::vector<HostContext> sharded_;

@@ -578,12 +578,11 @@ TEST_F(PageoutTest, StatisticsShowPagingActivity) {
 
 class ShadowCollapseTest : public ::testing::Test {
  protected:
-  std::unique_ptr<Kernel> MakeKernel(bool collapse, FaultInjector* inj = nullptr) {
+  std::unique_ptr<Kernel> MakeKernel(FaultInjector* inj = nullptr) {
     Kernel::Config config;
     config.frames = 512;
     config.page_size = kPage;
     config.disk_latency = DiskLatencyModel{0, 0};
-    config.vm.shadow_collapse = collapse;
     config.fault_injector = inj;
     return std::make_unique<Kernel>(config);
   }
@@ -607,7 +606,7 @@ class ShadowCollapseTest : public ::testing::Test {
 };
 
 TEST_F(ShadowCollapseTest, DeadParentPagesMigrateIntoSurvivingChild) {
-  auto kernel = MakeKernel(true);
+  auto kernel = MakeKernel();
   VmOffset base = 0;
   auto gen0 = kernel->CreateTask(nullptr, "gen0");
   base = gen0->VmAllocate(2 * kPage).value();
@@ -628,7 +627,7 @@ TEST_F(ShadowCollapseTest, DeadParentPagesMigrateIntoSurvivingChild) {
 }
 
 TEST_F(ShadowCollapseTest, FullyCoveringShadowBypassesItsChainEvenWhileParentLives) {
-  auto kernel = MakeKernel(true);
+  auto kernel = MakeKernel();
   auto parent = kernel->CreateTask(nullptr, "parent");
   VmOffset base = parent->VmAllocate(2 * kPage).value();
   ASSERT_EQ(parent->WriteValue<uint64_t>(base, 1), KernReturn::kSuccess);
@@ -649,21 +648,10 @@ TEST_F(ShadowCollapseTest, FullyCoveringShadowBypassesItsChainEvenWhileParentLiv
   EXPECT_EQ(child->ReadValue<uint64_t>(base + kPage).value(), 20u);
 }
 
-TEST_F(ShadowCollapseTest, DisablingTheFlagPreservesDeepChains) {
-  auto kernel = MakeKernel(false);
-  VmOffset base = 0;
-  auto survivor = BuildDyingChain(*kernel, 8, &base);
-  VmStatistics st = kernel->vm().Statistics();
-  EXPECT_EQ(st.shadow_collapses, 0u);
-  EXPECT_EQ(st.shadow_bypasses, 0u);
-  EXPECT_GE(kernel->vm().ShadowChainLength(survivor->vm_context(), base), 8u);
-  EXPECT_EQ(survivor->ReadValue<uint64_t>(base).value(), 1u);
-}
-
 TEST_F(ShadowCollapseTest, InjectedCollapseFaultDeniesSafely) {
   FaultInjector inj(42);
   inj.SetProbability(VmSystem::kFaultCollapse, 1.0);
-  auto kernel = MakeKernel(true, &inj);
+  auto kernel = MakeKernel(&inj);
   VmOffset base = 0;
   auto survivor = BuildDyingChain(*kernel, 8, &base);
   // Every collapse attempt was suppressed: the chain survives deep, the
@@ -701,7 +689,7 @@ TEST_F(ShadowCollapseTest, ExternalPagerBackedShadowIsNeverSpliced) {
   // can't be enumerated, so a splice would silently drop data the manager
   // still owns. The chain bottoms out at the pager object, unwritten pages
   // keep reading through to the manager, and the denial is observable.
-  auto kernel = MakeKernel(true);
+  auto kernel = MakeKernel();
   PatternPager pager;
   pager.Start();
   SendRight object = pager.NewObject();
@@ -914,18 +902,18 @@ class PageoutClusterTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<Kernel> MakeKernel(bool clustering) {
+  std::unique_ptr<Kernel> MakeKernel(uint32_t cluster_max = 16) {
     Kernel::Config config;
     config.frames = 128;
     config.page_size = kPage;
     config.disk_latency = DiskLatencyModel{0, 0};
-    config.vm.pageout_clustering = clustering;
+    config.vm.pageout_cluster_max = cluster_max;
     return std::make_unique<Kernel>(config);
   }
 };
 
 TEST_F(PageoutClusterTest, CleanRequestBatchesContiguousDirtyRuns) {
-  auto kernel = MakeKernel(true);
+  auto kernel = MakeKernel();
   auto task = kernel->CreateTask();
   RunRecordingPager pager;
   pager.Start();
@@ -952,7 +940,7 @@ TEST_F(PageoutClusterTest, CleanRequestBatchesContiguousDirtyRuns) {
 }
 
 TEST_F(PageoutClusterTest, ClusteringOffWritesOnePagePerMessage) {
-  auto kernel = MakeKernel(false);
+  auto kernel = MakeKernel(1);
   auto task = kernel->CreateTask();
   RunRecordingPager pager;
   pager.Start();
@@ -962,7 +950,7 @@ TEST_F(PageoutClusterTest, ClusteringOffWritesOnePagePerMessage) {
   ASSERT_EQ(DataManager::CleanRequest(pager.request_port(), 0, 8 * kPage),
             KernReturn::kSuccess);
   ASSERT_TRUE(pager.WaitForWrites(6));
-  // Six single-page messages: the ablation restores page-at-a-time
+  // Six single-page messages: a cap of 1 restores page-at-a-time
   // write-back exactly.
   for (const auto& [off, len] : pager.writes()) {
     EXPECT_EQ(len, kPage) << "offset " << off;
@@ -978,10 +966,11 @@ TEST_F(PageoutClusterTest, ClusteringOffWritesOnePagePerMessage) {
 TEST_F(PageoutClusterTest, ClusteringReducesDataWriteMessageCount) {
   // The E15 regression bar, counter-verified: the same 64-page dirty
   // flush costs ceil(64 / pageout_cluster_max) pager_data_write messages
-  // with clustering on and 64 with it off, at identical pages written.
+  // at a cap of 16 and 64 at a cap of 1, at identical pages written.
+  const uint32_t caps[2] = {16, 1};
   uint64_t runs[2] = {0, 0};
-  for (bool clustering : {true, false}) {
-    auto kernel = MakeKernel(clustering);
+  for (int arm = 0; arm < 2; ++arm) {
+    auto kernel = MakeKernel(caps[arm]);
     auto task = kernel->CreateTask();
     RunRecordingPager pager;
     pager.Start();
@@ -992,17 +981,98 @@ TEST_F(PageoutClusterTest, ClusteringReducesDataWriteMessageCount) {
     }
     ASSERT_EQ(DataManager::FlushRequest(pager.request_port(), 0, 64 * kPage),
               KernReturn::kSuccess);
-    ASSERT_TRUE(pager.WaitForWrites(clustering ? 4 : 64));
+    ASSERT_TRUE(pager.WaitForWrites(64 / caps[arm]));
     VmStatistics st = kernel->vm().Statistics();
     EXPECT_EQ(st.pageouts, 64u);
     EXPECT_EQ(st.pageout_run_pages, 64u);
-    runs[clustering ? 0 : 1] = st.pageout_runs;
+    runs[arm] = st.pageout_runs;
     task.reset();
     pager.Stop();
   }
   EXPECT_EQ(runs[0], 4u);  // 64 pages / pageout_cluster_max(16).
   EXPECT_EQ(runs[1], 64u);
   EXPECT_LT(runs[0], runs[1]);
+}
+
+// --- termination write-back (§3.4.1) -------------------------------------------
+// Each test stops the pageout daemon first, so the counters move only for
+// the termination under test.
+
+TEST_F(PageoutClusterTest, TerminationWritesDirtyPagesBackInRuns) {
+  // The last mapping of an external object goes away: its dirty pages go
+  // back to the manager through the pageout run writer, so 64 dirty pages
+  // cost 64 / pageout_cluster_max messages instead of 64.
+  auto kernel = MakeKernel();
+  kernel->vm().StopPageoutDaemon();
+  auto task = kernel->CreateTask();
+  RunRecordingPager pager;
+  pager.Start();
+  VmOffset base = task->VmAllocateWithPager(64 * kPage, pager.NewObject(), 0).value();
+  for (VmOffset p = 0; p < 64; ++p) {
+    uint64_t v = p;
+    ASSERT_EQ(task->Write(base + p * kPage, &v, sizeof(v)), KernReturn::kSuccess);
+  }
+  const VmStatistics before = kernel->vm().Statistics();
+  ASSERT_EQ(task->VmDeallocate(base, 64 * kPage), KernReturn::kSuccess);
+  ASSERT_TRUE(pager.WaitForWrites(4));
+  std::vector<std::pair<VmOffset, VmSize>> writes = pager.writes();
+  std::sort(writes.begin(), writes.end());
+  ASSERT_EQ(writes.size(), 4u);
+  for (VmOffset run = 0; run < 4; ++run) {
+    EXPECT_EQ(writes[run], (std::pair<VmOffset, VmSize>{run * 16 * kPage, 16 * kPage}));
+  }
+  const VmStatistics after = kernel->vm().Statistics();
+  EXPECT_EQ(after.pageout_runs - before.pageout_runs, 4u);
+  EXPECT_EQ(after.pageouts - before.pageouts, 64u);
+  task.reset();
+  pager.Stop();
+}
+
+TEST_F(PageoutClusterTest, TerminationNeverParksWhatTheManagerCannotTake) {
+  // Parked data is keyed by the object and discarded when it terminates,
+  // so parking a dying object's pages would only copy them into the
+  // default pager's store to throw them away.
+  auto kernel = MakeKernel();
+  kernel->vm().StopPageoutDaemon();
+  auto task = kernel->CreateTask();
+  RunRecordingPager pager;
+  pager.Start();
+  SendRight object = pager.NewObject();
+  VmOffset base = task->VmAllocateWithPager(64 * kPage, object, 0).value();
+  for (VmOffset p = 0; p < 64; ++p) {
+    uint64_t v = p;
+    ASSERT_EQ(task->Write(base + p * kPage, &v, sizeof(v)), KernReturn::kSuccess);
+  }
+  pager.Stop();  // Nothing drains the object port any more...
+  object.port()->SetBacklog(1);  // ...and it holds a single message.
+  const VmStatistics before = kernel->vm().Statistics();
+  const uint64_t parked_before = kernel->default_pager().parked_count();
+  ASSERT_EQ(task->VmDeallocate(base, 64 * kPage), KernReturn::kSuccess);
+  const VmStatistics after = kernel->vm().Statistics();
+  EXPECT_EQ(after.pageout_runs - before.pageout_runs, 4u);  // Every run was offered.
+  EXPECT_EQ(after.parked_pageouts, before.parked_pageouts);
+  EXPECT_EQ(kernel->default_pager().parked_count(), parked_before);
+  task.reset();
+}
+
+TEST_F(PageoutClusterTest, TerminatingAnInternalObjectWritesNothingBack) {
+  // Nothing can map a dead internal object again, and the default pager
+  // frees its blocks on no-senders: its dirty pages are freed, not sent.
+  auto kernel = MakeKernel();
+  kernel->vm().StopPageoutDaemon();
+  auto task = kernel->CreateTask();
+  // 192 pages through 128 frames: the first writes go out to the default
+  // pager under inline reclaim, the last ones stay resident and dirty.
+  constexpr VmSize kPages = 192;
+  VmOffset base = task->VmAllocate(kPages * kPage).value();
+  for (VmOffset p = 0; p < kPages; ++p) {
+    ASSERT_EQ(task->WriteValue<uint64_t>(base + p * kPage, p + 1), KernReturn::kSuccess);
+  }
+  const VmStatistics before = kernel->vm().Statistics();
+  ASSERT_GT(before.pageouts, 0u);
+  ASSERT_GT(before.active_count + before.inactive_count, 0u);
+  ASSERT_EQ(task->VmDeallocate(base, kPages * kPage), KernReturn::kSuccess);
+  EXPECT_EQ(kernel->vm().Statistics().pageouts, before.pageouts);
 }
 
 // --- adaptive fault-ahead ----------------------------------------------------
@@ -1042,12 +1112,11 @@ class ReadRecordingPager : public DataManager {
 
 class FaultAheadTest : public ::testing::Test {
  protected:
-  std::unique_ptr<Kernel> MakeKernel(bool fault_ahead, uint32_t max = 8) {
+  std::unique_ptr<Kernel> MakeKernel(uint32_t max) {
     Kernel::Config config;
     config.frames = 256;
     config.page_size = kPage;
     config.disk_latency = DiskLatencyModel{0, 0};
-    config.vm.fault_ahead = fault_ahead;
     config.vm.fault_ahead_max = max;
     return std::make_unique<Kernel>(config);
   }
@@ -1061,7 +1130,7 @@ class FaultAheadTest : public ::testing::Test {
 };
 
 TEST_F(FaultAheadTest, SequentialStreakDoublesTheWindowUpToTheCap) {
-  auto kernel = MakeKernel(true, 8);
+  auto kernel = MakeKernel(8);
   auto task = kernel->CreateTask();
   ReadRecordingPager pager;
   pager.Start();
@@ -1091,7 +1160,7 @@ TEST_F(FaultAheadTest, SequentialStreakDoublesTheWindowUpToTheCap) {
 }
 
 TEST_F(FaultAheadTest, RandomAccessStaysSinglePage) {
-  auto kernel = MakeKernel(true, 8);
+  auto kernel = MakeKernel(8);
   auto task = kernel->CreateTask();
   ReadRecordingPager pager;
   pager.Start();
@@ -1114,7 +1183,7 @@ TEST_F(FaultAheadTest, RandomAccessStaysSinglePage) {
 }
 
 TEST_F(FaultAheadTest, WindowCollapsesOnRandomJumpAndRebuilds) {
-  auto kernel = MakeKernel(true, 8);
+  auto kernel = MakeKernel(8);
   auto task = kernel->CreateTask();
   ReadRecordingPager pager;
   pager.Start();
@@ -1139,7 +1208,7 @@ TEST_F(FaultAheadTest, WindowCollapsesOnRandomJumpAndRebuilds) {
 }
 
 TEST_F(FaultAheadTest, AblationOffIsOnePagePerRequest) {
-  auto kernel = MakeKernel(false);
+  auto kernel = MakeKernel(1);
   auto task = kernel->CreateTask();
   ReadRecordingPager pager;
   pager.Start();
@@ -1147,7 +1216,7 @@ TEST_F(FaultAheadTest, AblationOffIsOnePagePerRequest) {
   for (VmOffset p = 0; p < 16; ++p) {
     ReadPage(*task, base, p);
   }
-  // The ablation restores demand paging exactly: one request per page even
+  // A cap of 1 restores demand paging exactly: one request per page even
   // under a perfectly sequential scan, and no fault-ahead accounting.
   std::vector<std::pair<VmOffset, VmSize>> reqs = pager.requests();
   ASSERT_EQ(reqs.size(), 16u);
@@ -1163,7 +1232,7 @@ TEST_F(FaultAheadTest, AblationOffIsOnePagePerRequest) {
 }
 
 TEST_F(FaultAheadTest, RunStopsAtAResidentPage) {
-  auto kernel = MakeKernel(true, 8);
+  auto kernel = MakeKernel(8);
   auto task = kernel->CreateTask();
   ReadRecordingPager pager;
   pager.Start();
@@ -1187,7 +1256,7 @@ TEST_F(FaultAheadTest, RunStopsAtAResidentPage) {
 }
 
 TEST_F(FaultAheadTest, UnusedSpeculativePagesAreCountedHonestly) {
-  auto kernel = MakeKernel(true, 8);
+  auto kernel = MakeKernel(8);
   auto task = kernel->CreateTask();
   ReadRecordingPager pager;
   pager.Start();

@@ -80,7 +80,6 @@ class Cluster {
     config.page_size = kPage;
     config.disk_latency = DiskLatencyModel{200'000, 100};
     config.vm.on_pager_timeout = VmSystem::Config::OnPagerTimeout::kZeroFill;
-    config.vm.pageout_clustering = opt_.pageout_clustering;
     hosts_.push_back(std::make_unique<Kernel>(config));
 
     DiskLatencyModel manager_disk{2'000'000, 200};
