@@ -1,20 +1,32 @@
 // E11 (§5.5 on a multiprocessor): fault-path scaling under the VM lock
-// hierarchy. Concurrent faults that share nothing — disjoint regions of one
-// address map — should scale with the thread count, because they take the
-// map lock shared and meet only in per-object locks, hash shards and the
-// page queues. Faults that genuinely share state (copy-on-write pushes out
-// of one inherited object) contend on that object's lock and bound the
-// speedup; both flavours are reported at 1/2/4/8 threads.
+// hierarchy, at 1/2/4/8 threads. Faults that share nothing should scale with
+// the thread count; faults that genuinely share state are bounded by it.
 //
-// Each thread gets a fixed page budget (Iterations below), so a run never
-// wraps back onto resident pages and every timed access is a real fault.
+//   * DisjointZeroFill: one task; each thread first-touches pages of its own
+//     VmAllocate region, so each faults into its own VmObject. The threads
+//     share the task's map and pmap and the systemwide queues and free list.
+//   * TaskPerThreadZeroFill: the same with one task per thread, so not even
+//     the map or the pmap is shared.
+//   * ResidentHit: one task; each thread reads its own resident pages
+//     through Pmap::Access — the simulated load with no fault behind it.
+//   * SharedCow: copy-on-write pushes of distinct pages out of one inherited
+//     object, whose lock is the shared resource.
+//   * SharedRead: resident re-faults of the same pages of one object (each
+//     iteration drops the translation first).
+//
+// The zero-fill arms cycle each thread's region — deallocate and reallocate
+// it, untimed — so a long run never runs out of frames and every timed
+// access is a real first-touch fault. Every row is repeated and reported as
+// aggregates: read the _median rows.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
@@ -24,8 +36,17 @@ namespace {
 using namespace mach;
 
 constexpr VmSize kPage = 4096;
-constexpr int kPagesPerThread = 2048;
 constexpr int kMaxThreads = 8;
+constexpr int kRepetitions = 5;
+// Zero-fill arms: faults per thread per run, in regions of kRegionPages.
+constexpr int kZeroFillIterations = 32768;
+constexpr VmSize kRegionPages = 1024;
+// Resident hits: accesses per thread per run, over kHitPages own pages.
+constexpr int kHitIterations = 1 << 20;
+constexpr VmSize kHitPages = 64;
+// Shared arms: one fresh page per iteration, so the run length is the
+// per-thread page budget.
+constexpr int kSharedPagesPerThread = 2048;
 
 std::unique_ptr<Kernel> MakeKernel(uint32_t frames) {
   Kernel::Config config;
@@ -35,33 +56,106 @@ std::unique_ptr<Kernel> MakeKernel(uint32_t frames) {
   return std::make_unique<Kernel>(config);
 }
 
-// Shared across the threads of one benchmark run. Thread 0 sets up before
-// the first iteration barrier and tears down after the last.
+// Shared across the threads of one benchmark run. Thread 0 builds it before
+// the loop and tears it down after; the other threads only touch it inside
+// the loop, which starts and ends on a barrier across all threads.
 struct MtState {
   std::unique_ptr<Kernel> kernel;
   std::shared_ptr<Task> task;
   std::shared_ptr<Task> child;
+  std::array<std::shared_ptr<Task>, kMaxThreads> thread_tasks;
   VmOffset base = 0;
 };
 MtState g_mt;
 
-// Zero-fill faults in disjoint regions of one task map: the no-sharing
-// case. Aggregate items/s across threads is the scaling headline.
-void BM_FaultMtDisjointZeroFill(benchmark::State& state) {
-  const VmSize region = VmSize{kPagesPerThread} * kPage;
-  if (state.thread_index() == 0) {
-    // Frames for every thread's pages plus slack so reclaim never runs.
-    g_mt.kernel = MakeKernel(kMaxThreads * kPagesPerThread + 1024);
-    g_mt.task = g_mt.kernel->CreateTask();
-    g_mt.base = g_mt.task->VmAllocate(VmSize{kMaxThreads} * region).value();
-  }
-  VmOffset next = g_mt.base + static_cast<VmOffset>(state.thread_index()) * region;
+// One thread's zero-fill loop: every iteration first-touches a fresh page of
+// the thread's own region, in the shared task or in its own.
+void ZeroFillLoop(benchmark::State& state, bool task_per_thread) {
+  const VmSize span = kRegionPages * kPage;
+  Task* task = nullptr;
+  VmOffset base = 0;
+  VmSize next = kRegionPages;  // Forces the first region to be allocated.
   uint8_t b = 1;
   for (auto _ : state) {
-    g_mt.task->Write(next, &b, 1);  // One fresh page: allocate + zero + map.
-    next += kPage;
+    if (next == kRegionPages) {
+      state.PauseTiming();
+      if (task == nullptr) {
+        task = task_per_thread ? g_mt.thread_tasks[state.thread_index()].get() : g_mt.task.get();
+      } else {
+        task->VmDeallocate(base, span);
+      }
+      base = task->VmAllocate(span).value();
+      next = 0;
+      state.ResumeTiming();
+    }
+    task->Write(base + next * kPage, &b, 1);  // Allocate + zero + map.
+    ++next;
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+uint32_t ZeroFillFrames(int threads) {
+  // Every thread's region plus slack, so reclaim never runs.
+  return static_cast<uint32_t>(threads * kRegionPages + 1024);
+}
+
+void BM_FaultMtDisjointZeroFill(benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    g_mt.kernel = MakeKernel(ZeroFillFrames(state.threads()));
+    g_mt.task = g_mt.kernel->CreateTask();
+  }
+  ZeroFillLoop(state, /*task_per_thread=*/false);
+  if (state.thread_index() == 0) {
+    g_mt.task.reset();
+    g_mt.kernel.reset();
+  }
+}
+
+void BM_FaultMtTaskPerThreadZeroFill(benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    g_mt.kernel = MakeKernel(ZeroFillFrames(state.threads()));
+    for (int i = 0; i < state.threads(); ++i) {
+      g_mt.thread_tasks[i] = g_mt.kernel->CreateTask();
+    }
+  }
+  ZeroFillLoop(state, /*task_per_thread=*/true);
+  if (state.thread_index() == 0) {
+    for (std::shared_ptr<Task>& t : g_mt.thread_tasks) {
+      t.reset();
+    }
+    g_mt.kernel.reset();
+  }
+}
+
+// Resident hits in one task: each thread reads its own kHitPages pages,
+// faulted in before the run, through the task's one pmap. No faults occur.
+void BM_FaultMtResidentHit(benchmark::State& state) {
+  const VmSize span = kHitPages * kPage;
+  if (state.thread_index() == 0) {
+    g_mt.kernel = MakeKernel(static_cast<uint32_t>(kMaxThreads * kHitPages + 1024));
+    g_mt.task = g_mt.kernel->CreateTask();
+    g_mt.base = g_mt.task->VmAllocate(VmSize{kMaxThreads} * span).value();
+    std::vector<uint8_t> init(VmSize{kMaxThreads} * span, 0x5);
+    g_mt.task->Write(g_mt.base, init.data(), init.size());
+  }
+  VmOffset base = 0;
+  Pmap* pmap = nullptr;
+  uint64_t v = 0;
+  uint64_t faults = 0;
+  VmSize p = 0;
+  for (auto _ : state) {
+    if (pmap == nullptr) {
+      pmap = g_mt.task->vm_context().pmap.get();
+      base = g_mt.base + static_cast<VmOffset>(state.thread_index()) * span;
+    }
+    if (pmap->Access(base + p * kPage, &v, sizeof(v), /*is_write=*/false).fault !=
+        Pmap::FaultKind::kNone) {
+      ++faults;
+    }
+    p = (p + 1) % kHitPages;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["faults"] = benchmark::Counter(static_cast<double>(faults));
   if (state.thread_index() == 0) {
     g_mt.task.reset();
     g_mt.kernel.reset();
@@ -72,18 +166,21 @@ void BM_FaultMtDisjointZeroFill(benchmark::State& state) {
 // private copies of distinct pages out of the same shadow chain, so the
 // source object's lock is the shared resource.
 void BM_FaultMtSharedCow(benchmark::State& state) {
-  const VmSize region = VmSize{kPagesPerThread} * kPage;
+  const VmSize region = VmSize{kSharedPagesPerThread} * kPage;
   if (state.thread_index() == 0) {
-    g_mt.kernel = MakeKernel(2 * kMaxThreads * kPagesPerThread + 1024);
+    g_mt.kernel = MakeKernel(2 * kMaxThreads * kSharedPagesPerThread + 1024);
     g_mt.task = g_mt.kernel->CreateTask();
     g_mt.base = g_mt.task->VmAllocate(VmSize{kMaxThreads} * region).value();
     std::vector<uint8_t> init(VmSize{kMaxThreads} * region, 0x7);
     g_mt.task->Write(g_mt.base, init.data(), init.size());
     g_mt.child = g_mt.kernel->CreateTask(g_mt.task);  // COW view of it all.
   }
-  VmOffset next = g_mt.base + static_cast<VmOffset>(state.thread_index()) * region;
+  VmOffset next = 0;
   uint8_t b = 9;
   for (auto _ : state) {
+    if (next == 0) {
+      next = g_mt.base + static_cast<VmOffset>(state.thread_index()) * region;
+    }
     g_mt.child->Write(next, &b, 1);  // Shadow-chain walk + page copy.
     next += kPage;
   }
@@ -98,21 +195,24 @@ void BM_FaultMtSharedCow(benchmark::State& state) {
   }
 }
 
-// Read faults through one *shared* (inheritance) region: threads fault the
+// Read faults through one region shared by every thread: threads fault the
 // same pages of the same object, so resolution is all lookup — the sharded
 // hash and per-object locks are what is being exercised.
 void BM_FaultMtSharedRead(benchmark::State& state) {
-  const VmSize region = VmSize{kPagesPerThread} * kPage;
+  const VmSize region = VmSize{kSharedPagesPerThread} * kPage;
   if (state.thread_index() == 0) {
-    g_mt.kernel = MakeKernel(2 * kPagesPerThread + 1024);
+    g_mt.kernel = MakeKernel(2 * kSharedPagesPerThread + 1024);
     g_mt.task = g_mt.kernel->CreateTask();
     g_mt.base = g_mt.task->VmAllocate(region).value();
     std::vector<uint8_t> init(region, 0x5);
     g_mt.task->Write(g_mt.base, init.data(), init.size());
   }
-  VmOffset next = g_mt.base;
+  VmOffset next = 0;
   uint8_t b = 0;
   for (auto _ : state) {
+    if (next == 0) {
+      next = g_mt.base;
+    }
     // Drop this page's translation, then touch: resident-page fault.
     VmOffset page = next;
     g_mt.task->vm_context().pmap->Remove(page, page + kPage);
@@ -134,16 +234,34 @@ void BM_FaultMtSharedRead(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_FaultMtDisjointZeroFill)
-    ->Iterations(kPagesPerThread)
+    ->Iterations(kZeroFillIterations)
     ->ThreadRange(1, kMaxThreads)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly()
+    ->UseRealTime();
+BENCHMARK(BM_FaultMtTaskPerThreadZeroFill)
+    ->Iterations(kZeroFillIterations)
+    ->ThreadRange(1, kMaxThreads)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly()
+    ->UseRealTime();
+BENCHMARK(BM_FaultMtResidentHit)
+    ->Iterations(kHitIterations)
+    ->ThreadRange(1, kMaxThreads)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly()
     ->UseRealTime();
 BENCHMARK(BM_FaultMtSharedCow)
-    ->Iterations(kPagesPerThread)
+    ->Iterations(kSharedPagesPerThread)
     ->ThreadRange(1, kMaxThreads)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly()
     ->UseRealTime();
 BENCHMARK(BM_FaultMtSharedRead)
-    ->Iterations(kPagesPerThread)
+    ->Iterations(kSharedPagesPerThread)
     ->ThreadRange(1, kMaxThreads)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly()
     ->UseRealTime();
 
 int main(int argc, char** argv) {

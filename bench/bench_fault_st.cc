@@ -117,8 +117,9 @@ void BM_ResidentFaultCall(benchmark::State& state) {
 }
 
 // Zero-fill first fault (allocate + zero + map), same toggle, for scale:
-// the optimistic tier cannot help a non-resident page, so the two arms
-// should be within noise of each other.
+// both arms fill an anonymous page in one pass under its object lock — the
+// optimistic tier with the toggle on, the locked path's phase-1 fast path
+// with it off — so they differ only by the shared map lock.
 void BM_ZeroFillFault(benchmark::State& state) {
   const bool optimistic = state.range(0) != 0;
   auto kernel = MakeKernel(4096 + 256, optimistic);

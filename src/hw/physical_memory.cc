@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "src/base/debug.h"
+
 namespace mach {
 
 PhysicalMemory::PhysicalMemory(uint32_t frame_count, VmSize page_size)
@@ -19,11 +21,11 @@ PhysicalMemory::PhysicalMemory(uint32_t frame_count, VmSize page_size)
   }
 }
 
-std::optional<uint32_t> PhysicalMemory::AllocFrame() {
+std::optional<uint32_t> PhysicalMemory::AllocFrame(uint32_t reserve) {
   uint32_t frame;
   {
     std::lock_guard<std::mutex> g(free_mu_);
-    if (free_list_.empty()) {
+    if (free_list_.size() <= reserve) {
       return std::nullopt;
     }
     frame = free_list_.back();
@@ -38,12 +40,18 @@ std::optional<uint32_t> PhysicalMemory::AllocFrame() {
 
 void PhysicalMemory::FreeFrame(uint32_t frame) {
   assert(frame < frame_count_);
-  {
-    std::lock_guard<std::mutex> fg(frames_[frame].mu);
-    assert(frames_[frame].pv.empty());
-  }
+  MACH_DEBUG_ASSERT(PvList(frame).empty());
   std::lock_guard<std::mutex> g(free_mu_);
   free_list_.push_back(frame);
+}
+
+void PhysicalMemory::FreeFrames(const std::vector<uint32_t>& frames) {
+  for (uint32_t frame : frames) {
+    assert(frame < frame_count_);
+    MACH_DEBUG_ASSERT(PvList(frame).empty());
+  }
+  std::lock_guard<std::mutex> g(free_mu_);
+  free_list_.insert(free_list_.end(), frames.begin(), frames.end());
 }
 
 uint32_t PhysicalMemory::free_frames() const {
@@ -83,6 +91,32 @@ void PhysicalMemory::CopyFrame(uint32_t src_frame, uint32_t dst_frame) {
   std::lock_guard<std::mutex> g2(second.mu);
   std::memcpy(data_.data() + static_cast<size_t>(dst_frame) * page_size_,
               data_.data() + static_cast<size_t>(src_frame) * page_size_, page_size_);
+}
+
+bool PhysicalMemory::AccessIf(uint32_t frame, VmOffset offset, void* buf, VmSize len,
+                              bool is_write, const std::atomic<uint64_t>& pte,
+                              uint64_t expected) {
+  assert(frame < frame_count_ && offset + len <= page_size_);
+  Frame& f = frames_[frame];
+  std::lock_guard<std::mutex> g(f.mu);
+  // Relaxed suffices: a pmap stores the new entry before it takes this lock,
+  // so the lock's acquire makes that store visible here.
+  if (pte.load(std::memory_order_relaxed) != expected) {
+    return false;
+  }
+  std::byte* data = data_.data() + static_cast<size_t>(frame) * page_size_ + offset;
+  if (is_write) {
+    std::memcpy(data, buf, len);
+    f.modified = true;
+  } else {
+    std::memcpy(buf, data, len);
+  }
+  f.referenced = true;
+  return true;
+}
+
+void PhysicalMemory::SyncFrame(uint32_t frame) {
+  std::lock_guard<std::mutex> g(frames_[frame].mu);
 }
 
 bool PhysicalMemory::IsReferenced(uint32_t frame) const {

@@ -8,10 +8,11 @@
 // its own lock serialising that frame's data, bits, and pv list — the
 // per-cache-line atomicity real memory hardware gives — so accesses to
 // distinct frames proceed in parallel on a multiprocessor. The free list has
-// a separate lock. Frame locks nest inside Pmap::mu_ (a pmap may access a
-// frame while holding its table lock, never the reverse) and two frame locks
-// are only ever held together by CopyFrame, which acquires them in frame-
-// index order.
+// a separate lock. A pmap *writer* takes frame locks inside its Pmap::mu_
+// (pv maintenance), never the reverse; a pmap *reader* (Pmap::Access) holds
+// no pmap lock at all and validates its translation under the frame lock
+// instead (AccessIf). Two frame locks are only ever held together by
+// CopyFrame, which acquires them in frame-index order.
 
 #ifndef SRC_HW_PHYSICAL_MEMORY_H_
 #define SRC_HW_PHYSICAL_MEMORY_H_
@@ -50,9 +51,14 @@ class PhysicalMemory {
   uint32_t frame_count() const { return frame_count_; }
 
   // Raw frame allocation. The VM layer's free queue sits above this; these
-  // simply hand out unused frames. Returns nullopt when exhausted.
-  std::optional<uint32_t> AllocFrame();
+  // simply hand out unused frames. AllocFrame returns nullopt when no more
+  // than `reserve` frames are free (the check and the allocation are one
+  // free-list critical section). FreeFrames returns a batch of frames under
+  // one free-list acquisition, in order, exactly as that many FreeFrame
+  // calls would. A freed frame must have no mappings left on its pv list.
+  std::optional<uint32_t> AllocFrame(uint32_t reserve = 0);
   void FreeFrame(uint32_t frame);
+  void FreeFrames(const std::vector<uint32_t>& frames);
   uint32_t free_frames() const;
 
   // Frame content access (performs the copy under the frame's lock and
@@ -61,6 +67,19 @@ class PhysicalMemory {
   void WriteFrame(uint32_t frame, VmOffset offset, const void* src, VmSize len);
   void ZeroFrame(uint32_t frame);
   void CopyFrame(uint32_t src_frame, uint32_t dst_frame);
+
+  // The lock-free pmap's load/store: ReadFrame or WriteFrame, performed only
+  // if `pte` still holds `expected` once the frame's lock is held. A pmap
+  // withdraws or lowers a translation before it takes this lock (PvRemove,
+  // SyncFrame), so a copy that validates here runs before that pmap call
+  // returns, and one that starts later sees the new entry. Returns false,
+  // copying nothing, when the entry changed; the caller reloads and retries.
+  bool AccessIf(uint32_t frame, VmOffset offset, void* buf, VmSize len, bool is_write,
+                const std::atomic<uint64_t>& pte, uint64_t expected);
+
+  // Takes and drops the frame's lock: returns once every AccessIf that was
+  // copying under it has finished.
+  void SyncFrame(uint32_t frame);
 
   // Hardware reference / modify bits.
   bool IsReferenced(uint32_t frame) const;

@@ -10,8 +10,22 @@
 // page fault: the caller (the task copyin/copyout layer) invokes the kernel
 // fault handler and retries.
 //
-// Lock order: Pmap::mu_ may be held while taking the PhysicalMemory bus
-// mutex, never the reverse (callers that walk pv lists copy them first).
+// The translations live in a radix page table, as an MMU's do: each slot
+// of a leaf holds one atomic page-table entry (frame, protection, valid).
+// Nodes are allocated on the first Enter below them and freed only with the
+// Pmap, so a reader can walk the table without a lock and never meets a
+// freed node.
+//
+// Locking: Pmap::mu_ serialises *writers* only (Enter, EnterIf, Remove,
+// Protect and PageProtect's per-pmap step). Readers — Access, Translate,
+// ProtectionOf — take no pmap lock: Access loads the entry, then validates
+// it under the frame's lock and copies only if it is unchanged (see
+// PhysicalMemory::AccessIf), else reloads. A writer that withdraws or lowers
+// an entry stores the new entry first and then takes the frame's lock
+// (PvRemove, SyncFrame), so once Remove, Protect or PageProtect returns no
+// copy through the old translation is still in flight — the guarantee a TLB
+// shootdown gives. Writers may take frame (pv) locks while holding mu_,
+// never the reverse (PageProtect copies the pv list first).
 
 #ifndef SRC_HW_PMAP_H_
 #define SRC_HW_PMAP_H_
@@ -20,7 +34,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "src/base/vm_types.h"
 #include "src/hw/physical_memory.h"
@@ -29,7 +42,7 @@ namespace mach {
 
 class Pmap {
  public:
-  explicit Pmap(PhysicalMemory* phys) : phys_(phys) {}
+  explicit Pmap(PhysicalMemory* phys);
   ~Pmap();
 
   Pmap(const Pmap&) = delete;
@@ -63,7 +76,8 @@ class Pmap {
   bool EnterIf(VmOffset vaddr, uint32_t frame, VmProt prot,
                const std::atomic<uint64_t>& gen, uint64_t expected);
 
-  // pmap_remove: removes translations for [start, end).
+  // pmap_remove: removes translations for [start, end). Absent parts of the
+  // table are skipped whole.
   void Remove(VmOffset start, VmOffset end);
 
   // pmap_protect: lowers the protection of translations in [start, end)
@@ -92,23 +106,79 @@ class Pmap {
   // Number of installed translations (for tests/statistics).
   size_t entry_count() const;
 
+  // Number of page-table nodes (leaves and directories) allocated so far:
+  // tests use it to check that a sparse space only builds what it touches.
+  size_t node_count() const;
+
   PhysicalMemory* phys() const { return phys_; }
 
  private:
-  struct Translation {
-    uint32_t frame;
-    VmProt prot;
+  // A page-table entry: frame << 32 | prot << 1 | valid. Zero is "no
+  // translation", which is what a fresh leaf holds.
+  using Pte = uint64_t;
+  static constexpr Pte kValid = 1;
+  static Pte MakePte(uint32_t frame, VmProt prot) {
+    return (Pte{frame} << 32) | (Pte{prot & kVmProtAll} << 1) | kValid;
+  }
+  static uint32_t PteFrame(Pte pte) { return static_cast<uint32_t>(pte >> 32); }
+  static VmProt PteProt(Pte pte) { return static_cast<VmProt>(pte >> 1) & kVmProtAll; }
+
+  // One radix node of kSlots slots. A level-0 node is a leaf and its slots
+  // are entries; a level-n node's slots point at level n-1 nodes (stored as
+  // integers so both kinds share one layout). The root's level grows as
+  // higher page numbers are entered: the old root becomes child 0 of the
+  // new one, so a reader still holding the old root walks a valid subtree.
+  static constexpr unsigned kBits = 9;
+  static constexpr uint64_t kSlots = uint64_t{1} << kBits;
+  static constexpr uint64_t kSlotMask = kSlots - 1;
+  struct Node {
+    explicit Node(unsigned l) : level(l) {}
+    const unsigned level;
+    std::atomic<uint64_t> slot[kSlots]{};
   };
 
-  void EnterLocked(VmOffset page_addr, uint32_t frame, VmProt prot);
-  void RemoveLocked(VmOffset page_addr);
+  // Whether a node at `level` spans page number `pn`.
+  static bool Covers(unsigned level, uint64_t pn) {
+    const unsigned bits = kBits * (level + 1);
+    return bits >= 64 || (pn >> bits) == 0;
+  }
+  static Node* Child(const Node* node, uint64_t pn) {
+    return reinterpret_cast<Node*>(
+        node->slot[(pn >> (kBits * node->level)) & kSlotMask].load(std::memory_order_acquire));
+  }
+
+  // The entry slot for page number `pn`, or null if its leaf is absent. No
+  // lock needed to find it or load it; storing to it needs mu_.
+  std::atomic<Pte>* FindPte(uint64_t pn) const;
+
+  // The entry slot for `pn`, allocating the root and the path down to the
+  // leaf as needed. Caller holds mu_.
+  std::atomic<Pte>& PteForEnter(uint64_t pn);
+
+  // Calls fn(slot, pn, pte) for every valid entry whose page overlaps
+  // [start, end), skipping absent subtrees. Caller holds mu_.
+  template <typename Fn>
+  void ForEachPte(VmOffset start, VmOffset end, Fn&& fn);
+
+  void EnterLocked(uint64_t pn, uint32_t frame, VmProt prot);
+  // Withdraws a valid entry, then drops its pv entry. Caller holds mu_.
+  void ClearLocked(std::atomic<Pte>& slot, uint64_t pn, Pte pte);
+  // Lowers a valid entry's protection to at most `prot` (removing it when
+  // prot == none). Caller holds mu_.
+  void LowerLocked(std::atomic<Pte>& slot, uint64_t pn, Pte pte, VmProt prot);
 
   // Called by PageProtect via the pv list.
   void LowerProtection(VmOffset page_addr, uint32_t frame, VmProt prot);
 
+  VmOffset PageAddr(uint64_t pn) const { return pn << page_shift_; }
+  static void FreeTree(Node* node);
+
   PhysicalMemory* const phys_;
-  mutable std::mutex mu_;
-  std::unordered_map<VmOffset, Translation> table_;  // keyed by page address
+  const unsigned page_shift_;
+  mutable std::mutex mu_;            // Writers only.
+  std::atomic<Node*> root_{nullptr};  // Written under mu_, read lock-free.
+  size_t entries_ = 0;                // Guarded by mu_.
+  size_t nodes_ = 0;                  // Guarded by mu_.
 };
 
 }  // namespace mach

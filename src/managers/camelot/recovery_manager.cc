@@ -37,6 +37,8 @@ RecoveryManager::RecoveryManager(SimDisk* data_disk, SimDisk* log_disk, VmSize p
   LoadDirectory();
 }
 
+RecoveryManager::~RecoveryManager() { Stop(); }
+
 void RecoveryManager::SaveDirectory() {
   std::vector<std::byte> out;
   DirPutU32(&out, kDirMagic);

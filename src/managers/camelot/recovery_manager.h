@@ -39,6 +39,8 @@ class RecoveryManager : public DataManager {
   // `data_disk` holds segment pages (block size == page size); `log_disk`
   // holds the write-ahead log.
   RecoveryManager(SimDisk* data_disk, SimDisk* log_disk, VmSize page_size);
+  // Stops the service thread before any member it dispatches into dies.
+  ~RecoveryManager() override;
 
   // Creates or reopens a named recoverable segment; returns its memory
   // object (map with vm_allocate_with_pager).

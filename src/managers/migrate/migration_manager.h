@@ -42,6 +42,9 @@ class MigrationManager : public DataManager {
   };
 
   MigrationManager() : DataManager("migrator") {}
+  // Stops the service thread before the region table it dispatches into
+  // dies.
+  ~MigrationManager() override { Stop(); }
 
   // Migrates `source`'s address space into a fresh task on `destination`.
   // The source task is suspended and must outlive the migrated task while

@@ -5,6 +5,8 @@ namespace mach {
 ShmShard::ShmShard(std::string name, ShmOptions options)
     : DataManager(std::move(name)), directory_(std::move(options)) {}
 
+ShmShard::~ShmShard() { Stop(); }
+
 SendRight ShmShard::RegionObject(uint64_t region_id, VmSize size, const std::string& label) {
   std::lock_guard<std::mutex> g(objects_mu_);
   auto it = region_objects_.find(region_id);

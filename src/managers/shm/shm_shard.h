@@ -28,6 +28,8 @@ namespace mach {
 class ShmShard : public DataManager {
  public:
   ShmShard(std::string name, ShmOptions options);
+  // Stops the service thread before the directory it dispatches into dies.
+  ~ShmShard() override;
 
   ShmDirectory& directory() { return directory_; }
   const ShmDirectory& directory() const { return directory_; }

@@ -41,7 +41,10 @@
 //     final validation happens inside the pmap lock (Pmap::EnterIf), which
 //     closes the race with a mutation's own pmap updates: the mutation's
 //     generation bump happens-before its pmap clamps, so an install that
-//     validates under the pmap lock cannot have missed a clamp. On any
+//     validates under the pmap lock cannot have missed a clamp. (That lock
+//     serialises pmap writers only — the install and the clamps are both
+//     writers. Pmap readers take no pmap lock; a simulated load or store
+//     validates its page-table entry under the frame lock instead.) On any
 //     mismatch the reader falls back to the shared-lock path, which
 //     republishes.
 //   * Reclamation: a publish retires the previous snapshot; retired

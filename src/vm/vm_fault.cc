@@ -422,7 +422,7 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
           // requests in progress (§6.2.1).
           if (config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill) {
             Result<VmPage*> np =
-                PageAllocLocked(object.get(), offset, shortage_rounds >= 100);
+                ZeroFillLocked(olk, object.get(), offset, shortage_rounds >= 100);
             if (!np.ok()) {
               if (np.status() == KernReturn::kMemoryPresent) {
                 rescan = true;
@@ -431,8 +431,6 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
               }
               continue;
             }
-            phys_->ZeroFrame(np.value()->frame);
-            counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
             object->cv.notify_all();
             rescan = true;
             continue;
@@ -659,7 +657,7 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
         }
       }
       Result<VmPage*> np =
-          PageAllocLocked(first_object.get(), first_offset, shortage_rounds >= 100);
+          ZeroFillLocked(olk, first_object.get(), first_offset, shortage_rounds >= 100);
       if (!np.ok()) {
         if (np.status() == KernReturn::kMemoryPresent) {
           rescan = true;
@@ -668,8 +666,6 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
         }
         continue;
       }
-      phys_->ZeroFrame(np.value()->frame);
-      counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
       first_object->cv.notify_all();
       return MakePinLocked(olk, first_object, np.value(), /*from_backing=*/false);
     }
@@ -726,6 +722,20 @@ bool VmSystem::TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt acces
     return false;
   }
   VmPage* page = PageLookupRaw(e->object.get(), object_offset);
+  const bool zero_fill =
+      page == nullptr && !e->needs_copy && AnonymousLocked(*e->object);
+  if (zero_fill) {
+    // First touch of anonymous memory: nothing in the chain can hold data,
+    // so the locked path would zero-fill this very slot. Do it here, under
+    // the one object lock this tier holds. A frame shortage is locked-path
+    // work (it waits for the pageout daemon).
+    Result<VmPage*> np =
+        ZeroFillLocked(olk, e->object.get(), object_offset, /*allow_reserve=*/false);
+    if (!np.ok()) {
+      return false;
+    }
+    page = np.value();
+  }
   if (page == nullptr || page->busy || page->absent || page->unavailable ||
       page->error) {
     return false;  // Unsettled (or missing) pages are locked-path work.
@@ -742,13 +752,20 @@ bool VmSystem::TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt acces
   // Pmap::EnterIf for why that closes the stale-install race). The object
   // lock keeps the page and its frame stable across the install, matching
   // the object→pmap order the locked fast path uses.
-  if (!task.pmap->EnterIf(page_addr, page->frame, prot,
-                          task.map->generation_word(), snap->gen)) {
+  const bool installed = task.pmap->EnterIf(page_addr, page->frame, prot,
+                                            task.map->generation_word(), snap->gen);
+  if (installed || zero_fill) {
+    // A refused install leaves a fresh page resident, settled and queued;
+    // the locked path finds it there.
+    PageActivate(page);
+  }
+  if (!installed) {
     counters_.map_lookup_retries.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  PageActivate(page);
-  counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
+  if (!zero_fill) {
+    counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
+  }
   counters_.faults.fetch_add(1, std::memory_order_relaxed);
   counters_.map_lookups_optimistic.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -761,7 +778,8 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
   MaybeDrainDeferred();
   // Tier 0: the lock-free resolution. Touches no map lock at all — two
   // locks total (object + pmap, plus the page-hash shard) for the common
-  // resident re-fault.
+  // resident re-fault, and object, two shard probes and the queue for the
+  // first touch of anonymous memory.
   if (config_.optimistic_map_lookup && TryOptimisticFault(task, page_addr, access)) {
     return KernReturn::kSuccess;
   }
@@ -799,13 +817,26 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
       // installed in this same critical section — map shared → object →
       // queues → pmap is the documented order, and the object lock keeps
       // the page stable across the pmap update, so no pin and no second
-      // map lookup are needed. Anything unsettled (busy, absent, locked
-      // against this access, COW pending on a write) falls through to the
-      // general three-phase path.
+      // map lookup are needed. The first touch of an anonymous object's
+      // page is zero-filled here and installed the same way (the optimistic
+      // tier's one-pass fill, for a region's first fault or with that tier
+      // off). Anything unsettled (busy, absent, locked against this access,
+      // COW pending on a write) falls through to the general three-phase
+      // path.
       {
         lock_probe::Note();
         ObjectLock olk(object->mu);
         VmPage* page = PageLookup(object.get(), object_offset);
+        bool zero_fill = false;
+        if (page == nullptr && !re.value().top->is_share && !re.value().holder->needs_copy &&
+            AnonymousLocked(*object)) {
+          Result<VmPage*> np =
+              ZeroFillLocked(olk, object.get(), object_offset, /*allow_reserve=*/false);
+          if (np.ok()) {
+            page = np.value();
+            zero_fill = true;
+          }
+        }
         if (page == nullptr) {
           // A true miss (not even a placeholder): feed the sequentiality
           // detector and size the fault-ahead window while the holder
@@ -825,7 +856,9 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
           if ((access & ~prot) == 0) {
             task.pmap->Enter(page_addr, page->frame, prot);
             PageActivate(page);
-            counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
+            if (!zero_fill) {
+              counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
+            }
             counters_.faults.fetch_add(1, std::memory_order_relaxed);
             return KernReturn::kSuccess;
           }

@@ -113,45 +113,62 @@ bool VmSystem::PageResident(const VmObject* object, VmOffset offset) const {
 
 Result<VmPage*> VmSystem::PageAllocLocked(VmObject* object, VmOffset offset, bool allow_reserve) {
   assert(offset % page_size() == 0);
-  // The caller may have dropped the object lock since it probed: emplacing
-  // over an existing slot would leave two VmPages claiming it, so rescan.
-  if (PageResident(object, offset)) {
-    return KernReturn::kMemoryPresent;
-  }
-  std::optional<uint32_t> frame;
-  if (allow_reserve || phys_->free_frames() > reserved_) {
-    frame = phys_->AllocFrame();
-  }
-  if (!frame.has_value()) {
-    // Below the reserved floor (§6.2.3). The caller must drop every lock
-    // and WaitForFreeFrames; poke the daemon on its behalf.
-    pageout_wake_.notify_all();
-    return KernReturn::kResourceShortage;
-  }
-  auto* page = new VmPage();
-  page->object = object;
-  page->offset = offset;
-  page->frame = *frame;
+  VmPage* page = nullptr;
   {
     PageHashShard& shard = ShardFor(object, offset);
     lock_probe::Note();
     std::lock_guard<std::mutex> g(shard.mu);
-    shard.map.emplace(PageKey{object, offset}, page);
+    // The caller may have dropped the object lock since it probed: claiming
+    // an occupied slot would leave two VmPages on it, so report it and let
+    // the caller rescan. Claim and check are one shard acquisition.
+    auto [slot, claimed] = shard.map.try_emplace(PageKey{object, offset}, nullptr);
+    if (!claimed) {
+      return KernReturn::kMemoryPresent;
+    }
+    std::optional<uint32_t> frame = phys_->AllocFrame(allow_reserve ? 0 : reserved_);
+    if (frame.has_value()) {
+      page = new VmPage();
+      page->object = object;
+      page->offset = offset;
+      page->frame = *frame;
+      slot->second = page;
+    } else {
+      shard.map.erase(slot);
+    }
+  }
+  if (page == nullptr) {
+    // Below the reserved floor (§6.2.3). The caller must drop every lock
+    // and WaitForFreeFrames; poke the daemon on its behalf.
+    pageout_wake_.notify_all();
+    return KernReturn::kResourceShortage;
   }
   object->pages.PushBack(page);
   ++object->resident_count;
   return page;
 }
 
-void VmSystem::PageFreeLocked(ObjectLock& olk, VmPage* page) {
+Result<VmPage*> VmSystem::ZeroFillLocked(ObjectLock& olk, VmObject* object, VmOffset offset,
+                                         bool allow_reserve) {
   (void)olk;
+  Result<VmPage*> np = PageAllocLocked(object, offset, allow_reserve);
+  if (np.ok()) {
+    phys_->ZeroFrame(np.value()->frame);
+    counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  return np;
+}
+
+bool VmSystem::AnonymousLocked(const VmObject& object) {
+  return object.internal && !object.pager.valid() && object.shadow == nullptr;
+}
+
+void VmSystem::PageDetachLocked(VmPage* page) {
   if (page->readahead) {
     // A speculative fault-ahead page is being reclaimed before any thread
     // touched it: wasted speculation (the honest-waste counter for E16).
     counters_.fault_ahead_unused.fetch_add(1, std::memory_order_relaxed);
   }
   Pmap::PageProtect(phys_, page->frame, kVmProtNone);
-  PageRemoveFromQueue(page);
   {
     PageHashShard& shard = ShardFor(page->object, page->offset);
     lock_probe::Note();
@@ -160,8 +177,39 @@ void VmSystem::PageFreeLocked(ObjectLock& olk, VmPage* page) {
   }
   page->object->pages.Remove(page);
   --page->object->resident_count;
+}
+
+void VmSystem::PageFreeLocked(ObjectLock& olk, VmPage* page) {
+  (void)olk;
+  PageDetachLocked(page);
+  PageRemoveFromQueue(page);
   phys_->FreeFrame(page->frame);
   delete page;
+  free_cv_.notify_all();
+}
+
+void VmSystem::PagesFreeLocked(ObjectLock& olk, const std::vector<VmPage*>& pages) {
+  (void)olk;
+  if (pages.empty()) {
+    return;
+  }
+  std::vector<uint32_t> frames;
+  frames.reserve(pages.size());
+  for (VmPage* page : pages) {
+    PageDetachLocked(page);
+    frames.push_back(page->frame);
+  }
+  {
+    lock_probe::Note();
+    std::lock_guard<std::mutex> g(queue_mu_);
+    for (VmPage* page : pages) {
+      PageRemoveFromQueueLocked(page);
+    }
+  }
+  phys_->FreeFrames(frames);
+  for (VmPage* page : pages) {
+    delete page;
+  }
   free_cv_.notify_all();
 }
 
@@ -421,9 +469,8 @@ void VmSystem::TerminateObject(ChainLock& chain, const std::shared_ptr<VmObject>
         WritePageoutRun(olk, object, run, /*park_on_failure=*/false);
       }
     }
-    for (VmPage* page : victims) {
-      PageFreeLocked(olk, page);
-    }
+    // One queue_mu_ and one free-list acquisition for the whole object.
+    PagesFreeLocked(olk, victims);
     // Deallocate the kernel's rights to the three ports; the data manager
     // receives death notifications for the request and name ports and can
     // perform its shutdown (§3.4.1). Order matters: dropping the pager send

@@ -24,10 +24,11 @@
 //      taking a sharing map's lock; ForkMap orders parent before child.
 //      Above the lock sits an optimistic tier: each map publishes an
 //      immutable snapshot guarded by a seqlock-style generation counter, so
-//      the resident-fault fast path resolves its entry with no map lock at
-//      all and validates the generation inside the pmap lock at install
-//      time (see address_map.h for the protocol; gated by
-//      Config::optimistic_map_lookup).
+//      the resident-fault fast path — and the first touch of anonymous
+//      memory, zero-filled under the object lock alone — resolves its entry
+//      with no map lock at all and validates the generation inside the
+//      pmap lock at install time (see address_map.h for the protocol; gated
+//      by Config::optimistic_map_lookup).
 //   2. chain_mu_: shadow-chain structure (shadow pointers, shadow_children),
 //      object lifecycle (terminate / cache / registries) and map_refs
 //      decrements. Witness type: ChainLock.
@@ -43,7 +44,10 @@
 //      tag itself is an atomic written only under this lock, so
 //      PageActivate / PageDeactivate skip the lock entirely when the tag
 //      already matches (see vm_page.h).
-//   6. Pmap::mu_ and PhysicalMemory frame/free-list locks (hardware tier).
+//   6. The hardware tier: Pmap::mu_, which serialises pmap *writers* only
+//      (Enter/EnterIf/Remove/Protect/PageProtect), then PhysicalMemory frame
+//      and free-list locks. Pmap readers (Access, Translate) take no pmap
+//      lock: Access validates its page-table entry under the frame lock.
 //   7. Port locks (independent; ports never call back into the kernel).
 //
 // Blocking operations never hold a lock they could convoy on: waits for busy
@@ -361,12 +365,30 @@ class VmSystem {
   // Allocates a frame and a resident page for (object, offset). Never
   // blocks and never reclaims inline: on exhaustion returns
   // kResourceShortage and pokes the daemon; the caller must drop its locks
-  // and WaitForFreeFrames. Caller holds the owner's mu.
+  // and WaitForFreeFrames. kMemoryPresent if the slot is already taken.
+  // Caller holds the owner's mu.
   Result<VmPage*> PageAllocLocked(VmObject* object, VmOffset offset, bool allow_reserve);
 
-  // Frees a resident page: unmaps, unqueues, unhashes, releases the frame.
+  // Zero fill on demand (§5.5): PageAllocLocked, then the frame zeroed and
+  // counted in zero_fill_count. The one step every fault tier that finds
+  // nothing to read shares. Caller holds the owner's mu (`olk`).
+  Result<VmPage*> ZeroFillLocked(ObjectLock& olk, VmObject* object, VmOffset offset,
+                                 bool allow_reserve);
+
+  // Whether nothing in `object`'s chain can hold data for a missing page —
+  // internal, no pager, no shadow — so a miss is a zero fill in the object
+  // itself, decided under its lock alone. Caller holds the object's mu.
+  static bool AnonymousLocked(const VmObject& object);
+
+  // Frees a resident page: unmaps, unhashes, unqueues, releases the frame.
   // Caller holds the owner's mu (witnessed by `olk`).
   void PageFreeLocked(ObjectLock& olk, VmPage* page);
+  // PageFreeLocked for many pages of one object, with one queue_mu_ and
+  // one free-list acquisition for the lot.
+  void PagesFreeLocked(ObjectLock& olk, const std::vector<VmPage*>& pages);
+  // The per-page part of a free: fault-ahead accounting, every hardware
+  // mapping removed, hash and object-list membership dropped.
+  void PageDetachLocked(VmPage* page);
 
   void PageActivate(VmPage* page);
   void PageDeactivate(VmPage* page);
@@ -476,8 +498,10 @@ class VmSystem {
   // The lock-free fault fast path (Config::optimistic_map_lookup): resolves
   // `page_addr` against the map's published snapshot and installs the
   // translation with the generation validated inside the pmap lock. Handles
-  // only the exact analogue of the in-lock fast path — a settled page
-  // resident in the entry's own object with sufficient protection; returns
+  // only the exact analogues of the in-lock fast path — a settled page
+  // resident in the entry's own object with sufficient protection, or the
+  // first touch of an anonymous object (AnonymousLocked, entry not
+  // copy-on-write), zero-filled in one pass under the object lock; returns
   // false (fall back to the locked path) for everything else, including
   // every would-be error verdict: errors are never decided from a snapshot.
   bool TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt access);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -394,6 +395,51 @@ TEST_F(CamelotTest, RandomizedCrashPointsPreserveAtomicity) {
       EXPECT_EQ(v, committed[slot]) << "trial " << trial << " slot " << slot;
     }
     checker.reset();
+  }
+}
+
+// The example's teardown order — crash, drop the client task, destroy the
+// manager, then the kernel — with dirty segment pages in the kernel cache.
+// Dropping the task terminates the segment object, which sends its dirty
+// pages to the manager as pager_data_write runs. The manager is destroyed
+// as soon as its service thread has started writing them to disk, so the
+// thread is still inside OnDataWrite: ~RecoveryManager must stop it before
+// the segment directory and the log it writes into are torn down. ASan
+// reports the use-after-free if the order is wrong.
+TEST(CamelotTeardownTest, ManagerDestroyedWhileDirtyPagesArePagedOut) {
+  constexpr int kRounds = 8;
+  constexpr VmSize kPages = 256;  // 16 write-back runs per round.
+  SimDisk data_disk(1024, kPage, nullptr, DiskLatencyModel{0, 0});
+  SimDisk log_disk(16384, 512, nullptr, DiskLatencyModel{0, 0});
+  Kernel::Config config;
+  config.frames = 512;  // Everything stays resident until the task dies.
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  for (int round = 0; round < kRounds; ++round) {
+    auto kernel = std::make_unique<Kernel>(config);
+    auto rm = std::make_unique<RecoveryManager>(&data_disk, &log_disk, kPage);
+    rm->Start();
+    std::shared_ptr<Task> task = kernel->CreateTask(nullptr, "teardown-client");
+    RecoverableSegment seg =
+        RecoverableSegment::Map(rm.get(), task.get(), "teardown", kPages * kPage).value();
+    {
+      Transaction txn(rm.get());
+      for (VmSize p = 0; p < kPages; ++p) {
+        uint64_t v = uint64_t(round) * 1000 + p;
+        ASSERT_EQ(txn.Write(seg, p * kPage, &v, sizeof(v)), KernReturn::kSuccess);
+      }
+      ASSERT_EQ(txn.Commit(), KernReturn::kSuccess);
+    }
+    rm->SimulateCrash();
+    const uint64_t handled = rm->pageout_count() + rm->deferred_pageout_count();
+    task.reset();
+    for (int spin = 0;
+         spin < 10'000'000 && rm->pageout_count() + rm->deferred_pageout_count() == handled;
+         ++spin) {
+      std::this_thread::yield();
+    }
+    rm.reset();
+    kernel.reset();
   }
 }
 

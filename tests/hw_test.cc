@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "src/hw/physical_memory.h"
@@ -188,6 +190,187 @@ TEST_F(PmapTest, DestructorCleansPvLists) {
   }
   EXPECT_TRUE(phys_.PvList(f).empty());
   phys_.FreeFrame(f);
+}
+
+TEST_F(PmapTest, SparseHighAddressesAllocateLeavesLazily) {
+  EXPECT_EQ(pmap_.node_count(), 0u);
+  uint32_t f = *phys_.AllocFrame();
+  pmap_.Enter(0x1000, f, kVmProtDefault);
+  const size_t low = pmap_.node_count();
+  EXPECT_EQ(low, 1u);  // A low address needs only its own leaf.
+  pmap_.Enter(0x2000, f, kVmProtRead);
+  EXPECT_EQ(pmap_.node_count(), low);  // Same leaf.
+
+  // Far-apart addresses build their own paths, never the space between:
+  // at most one leaf plus one directory per level for each.
+  const VmOffset high = VmOffset{1} << 44;
+  const VmOffset top = ~VmOffset{0} & ~(kPage - 1);
+  pmap_.Enter(high, f, kVmProtRead);
+  pmap_.Enter(top + 0x10, f, kVmProtDefault);
+  const size_t built = pmap_.node_count();
+  EXPECT_GT(built, 2u);
+  EXPECT_LE(built, 3u * 6u);
+  EXPECT_EQ(pmap_.entry_count(), 4u);
+  EXPECT_EQ(pmap_.Translate(high + 5, kVmProtRead), f);
+  EXPECT_EQ(pmap_.ProtectionOf(top), kVmProtDefault);
+  EXPECT_FALSE(pmap_.Translate(high + kPage, kVmProtRead).has_value());
+  EXPECT_FALSE(pmap_.Translate(VmOffset{1} << 40, kVmProtRead).has_value());
+  uint64_t v = 0x0123456789abcdefull;
+  EXPECT_EQ(pmap_.Access(top + 8, &v, sizeof(v), /*is_write=*/true).fault,
+            Pmap::FaultKind::kNone);
+  uint64_t out = 0;
+  EXPECT_EQ(pmap_.Access(0x1008, &out, sizeof(out), /*is_write=*/false).fault,
+            Pmap::FaultKind::kNone);
+  EXPECT_EQ(out, v);  // Both translations name the same frame.
+
+  // One Remove over the whole space visits only the leaves that exist, so
+  // it returns at once; nodes live until the Pmap dies.
+  pmap_.Remove(0, ~VmOffset{0});
+  EXPECT_EQ(pmap_.entry_count(), 0u);
+  EXPECT_TRUE(phys_.PvList(f).empty());
+  EXPECT_FALSE(pmap_.Translate(top, kVmProtRead).has_value());
+  EXPECT_EQ(pmap_.node_count(), built);
+}
+
+TEST_F(PmapTest, EntryCountAcrossReplaceRemoveAndProtect) {
+  uint32_t f1 = *phys_.AllocFrame();
+  uint32_t f2 = *phys_.AllocFrame();
+  pmap_.Enter(0x1000, f1, kVmProtDefault);
+  EXPECT_EQ(pmap_.entry_count(), 1u);
+  pmap_.Enter(0x1000, f2, kVmProtRead);  // Replace the frame.
+  EXPECT_EQ(pmap_.entry_count(), 1u);
+  pmap_.Enter(0x1000, f2, kVmProtDefault);  // Same frame, new rights.
+  EXPECT_EQ(pmap_.entry_count(), 1u);
+  pmap_.Enter(0x2000, f1, kVmProtRead);
+  EXPECT_EQ(pmap_.entry_count(), 2u);
+  pmap_.Protect(0x1000, 0x2000, kVmProtRead);  // Lowered, still present.
+  EXPECT_EQ(pmap_.entry_count(), 2u);
+  pmap_.Protect(0x0, 0x3000, kVmProtNone);
+  EXPECT_EQ(pmap_.entry_count(), 0u);
+  EXPECT_TRUE(phys_.PvList(f1).empty());
+  EXPECT_TRUE(phys_.PvList(f2).empty());
+  pmap_.Enter(0x1000, f1, kVmProtDefault);
+  EXPECT_EQ(pmap_.entry_count(), 1u);
+  pmap_.Remove(0x1000, 0x2000);
+  pmap_.Remove(0x1000, 0x2000);  // Removing nothing changes nothing.
+  EXPECT_EQ(pmap_.entry_count(), 0u);
+}
+
+TEST_F(PmapTest, TranslateReportsTheReplacingFrame) {
+  uint32_t f1 = *phys_.AllocFrame();
+  uint32_t f2 = *phys_.AllocFrame();
+  const uint64_t old_word = 1, new_word = 2;
+  phys_.WriteFrame(f1, 0, &old_word, sizeof(old_word));
+  phys_.WriteFrame(f2, 0, &new_word, sizeof(new_word));
+  pmap_.Enter(0x5000, f1, kVmProtDefault);
+  pmap_.Enter(0x5000, f2, kVmProtRead);
+  EXPECT_EQ(pmap_.Translate(0x5000, kVmProtRead), f2);
+  EXPECT_FALSE(pmap_.Translate(0x5000, kVmProtWrite).has_value());
+  EXPECT_EQ(pmap_.ProtectionOf(0x5000), kVmProtRead);
+  uint64_t out = 0;
+  EXPECT_EQ(pmap_.Access(0x5000, &out, sizeof(out), /*is_write=*/false).fault,
+            Pmap::FaultKind::kNone);
+  EXPECT_EQ(out, new_word);
+  EXPECT_TRUE(phys_.PvList(f1).empty());
+}
+
+// Readers hit a translation while a writer removes it and then reuses the
+// frame for new contents, as pageout does. Access takes no pmap lock, so
+// this is the check that a copy never runs through a withdrawn entry: once
+// Remove returns, the old address must not reach the frame.
+TEST(PmapRaceTest, NoAccessThroughARemovedTranslation) {
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 3000;
+  constexpr uint64_t kMapped = 0xAAAAAAAAAAAAAAAAull;
+  constexpr uint64_t kReused = 0x5555555555555555ull;
+  constexpr VmOffset kAddr = 0x40000;
+  PhysicalMemory phys(8, kPage);
+  Pmap pmap(&phys);
+  const uint32_t frame = *phys.AllocFrame();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> stale{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        uint64_t v = 0;
+        if (pmap.Access(kAddr, &v, sizeof(v), /*is_write=*/false).fault ==
+            Pmap::FaultKind::kNone) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (v != kMapped) {
+            stale.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    phys.WriteFrame(frame, 0, &kMapped, sizeof(kMapped));
+    pmap.Enter(kAddr, frame, kVmProtRead);
+    const uint64_t seen = hits.load(std::memory_order_relaxed);
+    for (int spin = 0; spin < 1000 && hits.load(std::memory_order_relaxed) == seen; ++spin) {
+      std::this_thread::yield();
+    }
+    pmap.Remove(kAddr, kAddr + kPage);
+    phys.WriteFrame(frame, 0, &kReused, sizeof(kReused));
+  }
+  stop.store(true);
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_EQ(stale.load(), 0u);
+}
+
+// Writers store through a writable translation while PageProtect lowers it
+// to read-only, as a fork's copy-on-write setup does. Once PageProtect has
+// returned, a snapshot of the frame must stay exact: no write that read the
+// old entry may still land.
+TEST(PmapRaceTest, NoWriteLandsAfterPageProtectReadReturns) {
+  constexpr int kWriters = 3;
+  constexpr int kRounds = 1000;
+  constexpr VmOffset kAddr = 0x80000;
+  PhysicalMemory phys(8, kPage);
+  Pmap pmap(&phys);
+  const uint32_t frame = *phys.AllocFrame();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> writes{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t n = 1; !stop.load(std::memory_order_relaxed); ++n) {
+        if (pmap.Access(kAddr + 8 * w, &n, sizeof(n), /*is_write=*/true).fault ==
+            Pmap::FaultKind::kNone) {
+          writes.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  int changed = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    pmap.Enter(kAddr, frame, kVmProtDefault);
+    const uint64_t seen = writes.load(std::memory_order_relaxed);
+    for (int spin = 0; spin < 1000 && writes.load(std::memory_order_relaxed) == seen; ++spin) {
+      std::this_thread::yield();
+    }
+    Pmap::PageProtect(&phys, frame, kVmProtRead);
+    uint64_t before[kWriters];
+    phys.ReadFrame(frame, 0, before, sizeof(before));
+    for (int spin = 0; spin < 50; ++spin) {
+      std::this_thread::yield();
+    }
+    uint64_t after[kWriters];
+    phys.ReadFrame(frame, 0, after, sizeof(after));
+    changed += std::memcmp(before, after, sizeof(before)) != 0;
+  }
+  stop.store(true);
+  for (std::thread& t : writers) {
+    t.join();
+  }
+  EXPECT_GT(writes.load(), 0u);
+  EXPECT_EQ(changed, 0);
+  EXPECT_EQ(pmap.ProtectionOf(kAddr), kVmProtRead);
 }
 
 TEST(SimDiskTest, ReadBackWrittenBlock) {

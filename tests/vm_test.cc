@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -836,6 +837,171 @@ TEST_F(VmOpsTest, KernelReadBatchesQueueOperations) {
   VmStatistics after = task_->VmStats();
   EXPECT_GE(after.queue_batch_flushes - before.queue_batch_flushes, uint64_t{1});
   EXPECT_GE(after.zero_fill_count - before.zero_fill_count, uint64_t{kPages});
+}
+
+// --- first touch of anonymous memory ------------------------------------------
+
+// A first touch is one fault and one zero fill, whichever tier handles it: the
+// region's first fault creates the object on the locked path, the rest go
+// through the optimistic tier's one-pass fill.
+TEST_F(VmOpsTest, FirstTouchCountsOneFaultAndOneZeroFill) {
+  constexpr int kPages = 6;
+  VmOffset addr = task_->VmAllocate(kPages * kPage).value();
+  VmStatistics start = task_->VmStats();
+  for (int p = 0; p < kPages; ++p) {
+    VmStatistics before = task_->VmStats();
+    if (p % 2 == 0) {
+      uint64_t v = 0x100 + p;
+      ASSERT_EQ(task_->Write(addr + p * kPage + 16, &v, sizeof(v)), KernReturn::kSuccess);
+    } else {
+      uint64_t v = ~0ull;
+      ASSERT_EQ(task_->Read(addr + p * kPage + 16, &v, sizeof(v)), KernReturn::kSuccess);
+      EXPECT_EQ(v, 0u);
+    }
+    VmStatistics after = task_->VmStats();
+    EXPECT_EQ(after.faults - before.faults, 1u) << "page " << p;
+    EXPECT_EQ(after.zero_fill_count - before.zero_fill_count, 1u) << "page " << p;
+  }
+  VmStatistics end = task_->VmStats();
+  EXPECT_GE(end.map_lookups_optimistic - start.map_lookups_optimistic, uint64_t{kPages - 1});
+  // Everything nobody wrote reads as zero.
+  for (int p = 0; p < kPages; ++p) {
+    uint64_t head = ~0ull;
+    uint64_t word = ~0ull;
+    ASSERT_EQ(task_->Read(addr + p * kPage, &head, sizeof(head)), KernReturn::kSuccess);
+    ASSERT_EQ(task_->Read(addr + p * kPage + 16, &word, sizeof(word)), KernReturn::kSuccess);
+    EXPECT_EQ(head, 0u);
+    EXPECT_EQ(word, p % 2 == 0 ? uint64_t(0x100 + p) : 0u);
+  }
+}
+
+// The same with the optimistic tier off: the locked path's phase-1 fast path
+// does the one-pass fill, with the same counts.
+TEST(VmConfigTest, FirstTouchWithOptimisticTierOffCountsOnce) {
+  Kernel::Config config;
+  config.frames = 64;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  config.vm.optimistic_map_lookup = false;
+  Kernel kernel(config);
+  std::shared_ptr<Task> task = kernel.CreateTask();
+  VmOffset addr = task->VmAllocate(4 * kPage).value();
+  VmStatistics before = task->VmStats();
+  for (int p = 0; p < 4; ++p) {
+    ASSERT_EQ(task->WriteValue<uint32_t>(addr + p * kPage, 7 + p), KernReturn::kSuccess);
+  }
+  VmStatistics after = task->VmStats();
+  EXPECT_EQ(after.faults - before.faults, 4u);
+  EXPECT_EQ(after.zero_fill_count - before.zero_fill_count, 4u);
+  EXPECT_EQ(after.map_lookups_optimistic, 0u);
+  EXPECT_EQ(task->ReadValue<uint32_t>(addr + 3 * kPage).value(), 10u);
+}
+
+// A fork leaves both entries copy-on-write over one object: the child's
+// first write to a page its parent wrote must copy the parent's data, not
+// zero-fill, and the parent must not see the child's write.
+TEST_F(VmOpsTest, ForkChildFirstWriteCopiesParentData) {
+  VmOffset addr = task_->VmAllocate(2 * kPage).value();
+  ASSERT_EQ(task_->WriteValue<uint64_t>(addr, 0xfeed), KernReturn::kSuccess);
+  std::shared_ptr<Task> child = kernel_->CreateTask(task_);
+  VmStatistics before = task_->VmStats();
+  ASSERT_EQ(child->WriteValue<uint64_t>(addr + 8, 0xbeef), KernReturn::kSuccess);
+  VmStatistics after = task_->VmStats();
+  EXPECT_EQ(after.cow_faults - before.cow_faults, 1u);
+  EXPECT_EQ(after.zero_fill_count, before.zero_fill_count);
+  EXPECT_EQ(child->ReadValue<uint64_t>(addr).value(), 0xfeedu);
+  EXPECT_EQ(child->ReadValue<uint64_t>(addr + 8).value(), 0xbeefu);
+  EXPECT_EQ(task_->ReadValue<uint64_t>(addr + 8).value(), 0u);
+  // A page neither side touched is still a zero fill in the child.
+  EXPECT_EQ(child->ReadValue<uint64_t>(addr + kPage).value(), 0u);
+  child.reset();
+}
+
+// A shadow object's missing page may still be held below it: the first
+// touch must read through the chain, never zero-fill in one pass.
+TEST_F(VmOpsTest, ShadowedObjectFirstTouchReadsThroughTheChain) {
+  VmOffset addr = task_->VmAllocate(2 * kPage).value();
+  ASSERT_EQ(task_->WriteValue<uint64_t>(addr, 1), KernReturn::kSuccess);
+  ASSERT_EQ(task_->WriteValue<uint64_t>(addr + kPage, 2), KernReturn::kSuccess);
+  std::shared_ptr<Task> child = kernel_->CreateTask(task_);
+  // The child's write pushes a shadow holding only page 0.
+  ASSERT_EQ(child->WriteValue<uint64_t>(addr, 10), KernReturn::kSuccess);
+  ASSERT_EQ(kernel_->vm().ShadowChainLength(child->vm_context(), addr), 2u);
+  VmStatistics before = task_->VmStats();
+  EXPECT_EQ(child->ReadValue<uint64_t>(addr + kPage).value(), 2u);
+  VmStatistics after = task_->VmStats();
+  EXPECT_EQ(after.zero_fill_count, before.zero_fill_count);
+  EXPECT_EQ(after.faults - before.faults, 1u);
+  child.reset();
+}
+
+// Pager-backed objects keep the pager protocol: an external manager's page
+// and an internal page that went to the default pager both come back with
+// their data, never as a one-pass zero fill.
+TEST_F(VmOpsTest, PagerBackedFirstTouchAsksThePager) {
+  PatternPager pager;
+  pager.Start();
+  VmOffset base = task_->VmAllocateWithPager(2 * kPage, pager.NewObject(), 0).value();
+  VmStatistics before = task_->VmStats();
+  uint8_t byte = 0;
+  ASSERT_EQ(task_->Read(base + kPage + 3, &byte, 1), KernReturn::kSuccess);
+  EXPECT_EQ(byte, PatternPager::StampFor(kPage));
+  VmStatistics after = task_->VmStats();
+  EXPECT_EQ(after.zero_fill_count, before.zero_fill_count);
+  EXPECT_GE(after.pageins - before.pageins, 1u);
+  ASSERT_EQ(task_->VmDeallocate(base, 2 * kPage), KernReturn::kSuccess);
+  pager.Stop();
+}
+
+TEST_F(PageoutTest, PagedOutAnonymousPagesComeBackFromTheDefaultPager) {
+  constexpr VmSize kPages = 64;  // Twice physical memory.
+  VmOffset addr = task_->VmAllocate(kPages * kPage).value();
+  for (VmOffset p = 0; p < kPages; ++p) {
+    ASSERT_EQ(task_->WriteValue<uint64_t>(addr + p * kPage, 0xC0 + p), KernReturn::kSuccess);
+  }
+  ASSERT_GT(kernel_->default_pager().pageout_count(), 0u);
+  VmStatistics before = task_->VmStats();
+  for (VmOffset p = 0; p < kPages; ++p) {
+    ASSERT_EQ(task_->ReadValue<uint64_t>(addr + p * kPage).value(), 0xC0 + p) << "page " << p;
+  }
+  VmStatistics after = task_->VmStats();
+  // Every page was written, so nothing may come back as a zero fill.
+  EXPECT_EQ(after.zero_fill_count, before.zero_fill_count);
+  EXPECT_GT(kernel_->default_pager().pagein_count(), 0u);
+}
+
+// A first touch through the optimistic tier races the region's
+// VmDeallocate: each touch either lands or finds the address gone, and the
+// frames of every zero fill, installed or not, come back.
+TEST_F(VmOpsTest, FirstTouchRacingDeallocateReturnsEveryFrame) {
+  constexpr VmSize kPages = 16;
+  const uint64_t baseline = task_->VmStats().free_count;
+  for (int round = 0; round < 200; ++round) {
+    VmOffset addr = task_->VmAllocate(kPages * kPage).value();
+    // The object exists and the snapshot is current: later pages take the
+    // optimistic tier.
+    ASSERT_EQ(task_->WriteValue<uint32_t>(addr, 1), KernReturn::kSuccess);
+    std::atomic<bool> go{false};
+    std::atomic<int> bad{0};
+    std::thread toucher([&] {
+      while (!go.load()) {
+      }
+      for (VmSize p = 1; p < kPages; ++p) {
+        KernReturn kr = task_->WriteValue<uint32_t>(addr + p * kPage, uint32_t(p));
+        if (kr != KernReturn::kSuccess && kr != KernReturn::kInvalidAddress) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+    go.store(true);
+    for (int spin = 0; spin < round % 50; ++spin) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(task_->VmDeallocate(addr, kPages * kPage), KernReturn::kSuccess);
+    toucher.join();
+    ASSERT_EQ(bad.load(), 0) << "round " << round;
+  }
+  EXPECT_EQ(task_->VmStats().free_count, baseline);
 }
 
 // --- clustered pageout -------------------------------------------------------
