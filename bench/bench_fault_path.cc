@@ -122,7 +122,9 @@ void BM_CowFault(benchmark::State& state) {
 }
 
 // External-pager fetch: pager_data_request / pager_data_provided round trip
-// through real ports and the kernel's pager service thread.
+// through real ports. The request queues for the manager's thread, which
+// then runs the kernel's pager_data_provided handler itself: one handoff
+// each way.
 void BM_ExternalPagerFetch(benchmark::State& state) {
   auto kernel = MakeKernel();
   auto task = kernel->CreateTask();

@@ -64,15 +64,16 @@ case "$mode" in
   tsan)
     # Data-race lane for the VM lock hierarchy: the suites that fault,
     # reclaim, and message concurrently run under ThreadSanitizer, plus the
-    # lock-free pmap reads (hw_test) and manager teardown order
-    # (camelot_test). Kept to the concurrency-heavy binaries — TSan is ~10x,
-    # and the full suite runs in the other lanes.
+    # lock-free pmap reads (hw_test), manager teardown order (camelot_test),
+    # and the NetLink forwarders and file server (net_test, fs_test), whose
+    # threads run the kernel's pager handlers. Kept to the concurrency-heavy
+    # binaries — TSan is ~10x, and the full suite runs in the other lanes.
     export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}
-    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test)$'
+    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test)$'
     cmake -B build-tsan -S . -DMACH_SANITIZE=thread
     cmake --build build-tsan -j "$jobs" --target \
       hw_test vm_test vm_concurrent_test property_test ipc_property_test shm_test \
-      shm_property_test camelot_test
+      shm_property_test camelot_test net_test fs_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R "$tsan_suites"
     ;;
   all)

@@ -52,6 +52,11 @@ KernReturn Port::Enqueue(Message&& msg, Timeout timeout) {
   // Before taking mu_: dropping a carried receive right cascades into that
   // port's MarkDead, which may be this very port.
   IpcFaultMutateRights(&msg);
+  // A kernel-owned port serves the message here, in the sender's thread. A
+  // dead port falls through to the queue path, which reports kPortDead.
+  if (kernel_object_ && !dead() && kernel_object_(id_, msg)) {
+    return KernReturn::kSuccess;
+  }
   std::shared_ptr<PortSet> set_to_notify;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -64,9 +69,10 @@ KernReturn Port::Enqueue(Message&& msg, Timeout timeout) {
       return queue_.size() >= backlog_ ? KernReturn::kPortFull : KernReturn::kTimedOut;
     }
     queue_.push_back(std::move(msg));
-    recv_cv_.notify_one();
     set_to_notify = set_.lock();
   }
+  // Wake after unlocking: a receiver woken under mu_ would only block on it.
+  recv_cv_.notify_one();
   if (set_to_notify != nullptr) {
     set_to_notify->Notify();
   }
@@ -378,7 +384,11 @@ size_t PortSet::member_count() const {
 }
 
 void PortSet::Notify() {
-  std::lock_guard<std::mutex> g(mu_);
+  // Taking and dropping mu_ orders this wakeup after any receiver's scan in
+  // progress: that receiver is then already waiting on cv_, so the wakeup
+  // cannot be lost. Notifying after the unlock keeps the woken receiver
+  // from blocking on mu_ straight away.
+  { std::lock_guard<std::mutex> g(mu_); }
   cv_.notify_all();
 }
 

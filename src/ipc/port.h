@@ -10,13 +10,19 @@
 // (port_gc.h). Enqueue/notification paths consult the process-wide IPC fault
 // injector (ipc_faults.h) when one is armed.
 //
-// Lock order: PortSet::mu_ > Port::mu_. A port never calls back into the
-// kernel layer, so port locks sit at the bottom of the VM lock order
-// (tier 7 in vm_system.h): kernels may hold map/object/queue locks while
-// using ports, but blocking receives while holding any VM lock are
-// forbidden — the VM layer drops its locks around waits. Rights are never
-// destroyed while their own port's mu_ is held (destruction re-enters the
-// port).
+// Kernel-owned ports: a port may carry a kernel-object handler
+// (SetKernelObjectHandler), which Enqueue offers each message to in the
+// sender's thread — the way Mach's kernel serves messages sent to its own
+// ports instead of queueing them for a thread of its own.
+//
+// Lock order: PortSet::mu_ > Port::mu_. A port reaches the kernel layer only
+// through a kernel-object handler, which runs with no port lock held, so
+// port locks sit at the bottom of the VM lock order (tier 7 in
+// vm_system.h): kernels may hold map/object/queue locks while using ports,
+// but blocking receives while holding any VM lock are forbidden — the VM
+// layer drops its locks around waits. Receivers are woken after the lock
+// they must take is released. Rights are never destroyed while their own
+// port's mu_ is held (destruction re-enters the port).
 
 #ifndef SRC_IPC_PORT_H_
 #define SRC_IPC_PORT_H_
@@ -52,6 +58,11 @@ inline constexpr MsgId kMsgIdNoSenders = 0xDEAD0002;
 
 // Default queue backlog (Mach's PORT_BACKLOG_DEFAULT).
 inline constexpr size_t kDefaultBacklog = 32;
+
+// Serves messages sent to a kernel-owned port in the sender's thread (see
+// Port::SetKernelObjectHandler). Returns true if it consumed `msg`; false
+// leaves `msg` untouched to be queued as usual.
+using KernelObjectHandler = std::function<bool(uint64_t port_id, Message& msg)>;
 
 // Snapshot of a port's state (port_status, Table 3-2).
 struct PortStatus {
@@ -108,6 +119,14 @@ class Port : public std::enable_shared_from_this<Port> {
   // registration: death notifications supersede no-senders.
   void RequestNoSendersNotification(SendRight notify_to);
 
+  // Makes this a kernel-owned port: Enqueue offers every message to
+  // `handler` in the sending thread, after the ipc.enqueue and
+  // ipc.right_transfer fault points and the dead check, with no port lock
+  // held; a declined message is queued as usual. Install once, before any
+  // send right to the port leaves its creator — the handler is read without
+  // a lock and never replaced.
+  void SetKernelObjectHandler(KernelObjectHandler handler) { kernel_object_ = std::move(handler); }
+
   // Current number of live send rights naming this port (counted across
   // tasks and in-queue messages alike).
   uint64_t send_right_count() const { return send_refs_.load(std::memory_order_acquire); }
@@ -154,6 +173,7 @@ class Port : public std::enable_shared_from_this<Port> {
   std::vector<SendRight> death_watchers_;
   std::vector<std::function<void(uint64_t)>> death_actions_;
   SendRight no_senders_notify_;
+  KernelObjectHandler kernel_object_;  // Immutable once a send right escapes.
 };
 
 // A group of enabled ports receivable as one (§3.2 "default group of ports

@@ -30,12 +30,16 @@ Kernel::~Kernel() {
   }
   vm_->StopPageoutDaemon();
   default_pager_->Stop();
-  // VmSystem's destructor releases any remaining resident pages.
+  // VmSystem's destructor, which runs before the default pager's, releases
+  // any remaining resident pages.
 }
 
 void Kernel::PagerServiceLoop() {
-  // Receives data manager -> kernel calls (Table 3-6) on the pager request
-  // ports, whose receive rights the kernel holds.
+  // Receives what queues on the pager request ports, whose receive rights
+  // the kernel holds: death notifications of memory-object ports, and the
+  // messages a request port's handler declines (forged notifications and
+  // ids outside Table 3-6). A manager's Table 3-6 calls run in the
+  // manager's own thread instead.
   const std::shared_ptr<PortSet>& set = vm_->pager_request_set();
   while (running_.load(std::memory_order_acquire)) {
     Result<PortSet::ReceivedMessage> got = set->ReceiveFrom(std::chrono::milliseconds(20));

@@ -4,9 +4,10 @@
 // A Kernel owns the simulated hardware (physical memory, a paging disk, a
 // virtual clock), the VM system, the trusted default pager task, and two
 // service threads:
-//   * the pager service thread, which receives the data manager → kernel
-//     calls (Table 3-6) on the pager request ports and dispatches them into
-//     the VM system;
+//   * the pager service thread, which receives the death notifications of
+//     memory-object ports and whatever else queues on the pager request
+//     ports — a data manager's Table 3-6 calls are not queued but run in the
+//     manager's own thread (VmSystem::InstallPagerRequestHandler);
 //   * (inside VmSystem) the pageout daemon.
 //
 // Tasks are created against a kernel and must not outlive it.
@@ -72,8 +73,10 @@ class Kernel {
   SimClock clock_;
   std::unique_ptr<PhysicalMemory> phys_;
   std::unique_ptr<SimDisk> paging_disk_;
-  std::unique_ptr<VmSystem> vm_;
+  // Declared before vm_ so it outlives it: a manager call running in its
+  // sender's thread until ~VmSystem may still park pages with it.
   std::unique_ptr<DefaultPager> default_pager_;
+  std::unique_ptr<VmSystem> vm_;
 
   std::thread pager_service_thread_;
   std::atomic<bool> running_{false};

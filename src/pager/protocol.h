@@ -47,6 +47,14 @@ inline constexpr MsgId kMsgPagerCleanRequest = 0x60000004;
 inline constexpr MsgId kMsgPagerCache = 0x60000005;
 inline constexpr MsgId kMsgPagerDataUnavailable = 0x60000006;
 
+// Whether `id` is one of the six Table 3-6 calls: the only messages a kernel
+// serves in the sender's thread when they arrive on a pager request port.
+inline constexpr bool IsPagerManagerCall(MsgId id) {
+  return id == kMsgPagerDataProvided || id == kMsgPagerDataLock ||
+         id == kMsgPagerFlushRequest || id == kMsgPagerCleanRequest ||
+         id == kMsgPagerCache || id == kMsgPagerDataUnavailable;
+}
+
 // Shared-memory broker control (§4.2 region resolution): shm_get_region is
 // sent to the broker's service port with a reply port; the broker answers
 // with shm_region_info. Remote hosts talk to a NetLink proxy of the service

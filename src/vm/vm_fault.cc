@@ -333,9 +333,16 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
             if (!IsOk(kr) && kr != KernReturn::kSuccess) {
               return KernReturn::kMemoryFailure;
             }
-            // The lock was dropped across the send; the page pointer is
-            // stale. Wait for the unlock to land, then rescan.
-            if (!WaitForPage(olk, object.get(), deadline)) {
+            // The lock was dropped across the send, so the page pointer is
+            // stale and the answer may already have landed (a manager's
+            // pager_data_lock runs in its own thread, and its wakeup is gone
+            // by now). Look again; wait only while the unlock is still
+            // outstanding, then rescan.
+            const VmPage* again = PageLookupRaw(object.get(), offset);
+            const bool outstanding = again != nullptr && again->unlock_pending &&
+                                     (fault_type & again->page_lock) != 0;
+            if (outstanding ? !WaitForPage(olk, object.get(), deadline)
+                            : SteadyClock::now() >= deadline) {
               return KernReturn::kMemoryFailure;
             }
             rescan = true;

@@ -69,8 +69,9 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   // internal objects that have not yet been handed to the default pager.
   SendRight pager;
 
-  // The pager request port: kernel holds the receive right (serviced by the
-  // kernel's pager service thread) and passes send rights to the manager.
+  // The pager request port: kernel holds the receive right (a kernel-owned
+  // port whose Table 3-6 calls run in the sender's thread) and passes send
+  // rights to the manager.
   ReceiveRight request_receive;
   SendRight request_send;
 

@@ -158,6 +158,7 @@ bool VmSystem::EnsureInternalPager(ChainLock& chain, ObjectLock& olk,
   // pages flowing to the (trusted, always-draining) default pager.
   obj_port.receive.port()->SetBacklog(1024);
   PortPair request = PortAllocate("pager-request");
+  InstallPagerRequestHandler(request.receive);
   PortPair name = PortAllocate("pager-name");
   PagerCreateArgs args;
   args.new_memory_object = std::move(obj_port.receive);
@@ -380,6 +381,23 @@ VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
 }
 
 // --- data manager -> kernel calls (Table 3-6) -------------------------------
+
+void VmSystem::InstallPagerRequestHandler(const ReceiveRight& request) {
+  request.port()->SetKernelObjectHandler([guard = kernel_calls_](uint64_t port_id, Message& msg) {
+    // Only the Table 3-6 ids, which the kernel never sends itself: a kernel
+    // thread holding VM locks can then never enter a handler, even when an
+    // errant manager names a request port as a memory object.
+    if (!IsPagerManagerCall(msg.id())) {
+      return false;
+    }
+    std::shared_lock<std::shared_mutex> alive(guard->mu);
+    if (guard->vm == nullptr) {
+      return false;
+    }
+    guard->vm->HandlePagerMessage(port_id, std::move(msg));
+    return true;
+  });
+}
 
 void VmSystem::HandlePagerMessage(uint64_t request_port_id, Message&& msg) {
   if (msg.id() == kMsgIdPortDeath) {

@@ -42,6 +42,11 @@ VmSystem::VmSystem(PhysicalMemory* phys, Config config, FaultInjector* injector)
 }
 
 VmSystem::~VmSystem() {
+  {
+    // Manager calls in flight finish first; later ones decline to the queue.
+    std::unique_lock<std::shared_mutex> g(kernel_calls_->mu);
+    kernel_calls_->vm = nullptr;
+  }
   StopPageoutDaemon();
   // Free any pages still resident (objects referenced by leaked handles).
   // Execution is single-threaded by now, but PageFreeLocked still wants the
@@ -905,6 +910,7 @@ Result<VmOffset> VmSystem::AllocateWithPager(TaskVm& task, VmOffset addr, VmSize
       object->internal = false;
       object->pager = memory_object;
       PortPair request = PortAllocate("pager-request");
+      InstallPagerRequestHandler(request.receive);
       PortPair name = PortAllocate("pager-name");
       object->request_receive = std::move(request.receive);
       object->request_send = request.send;

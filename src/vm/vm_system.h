@@ -11,9 +11,10 @@
 //     protection against errant data managers (parking dirty pages with the
 //     trusted default pager) and the §6.2.3 reserved pool;
 //   * the kernel ends of the external memory management interface:
-//     requests are *sent* to memory object ports, and manager calls arriving
-//     on pager request ports are dispatched to the Handle* methods by the
-//     kernel's pager service thread.
+//     requests are *sent* to memory object ports, and the manager calls of
+//     Table 3-6 sent to a pager request port run the Handle* methods in the
+//     sender's thread (the port's kernel-object handler); notifications and
+//     any other message queue for the kernel's pager service thread.
 //
 // Concurrency: VM state is guarded by a lock hierarchy so concurrent faults
 // on a multiprocessor contend only where they genuinely share state. From
@@ -48,7 +49,10 @@
 //      (Enter/EnterIf/Remove/Protect/PageProtect), then PhysicalMemory frame
 //      and free-list locks. Pmap readers (Access, Translate) take no pmap
 //      lock: Access validates its page-table entry under the frame lock.
-//   7. Port locks (independent; ports never call back into the kernel).
+//   7. Port locks (independent). A port reaches the kernel only through a
+//      kernel-object handler, which the port runs with none of its locks
+//      held, and the handler runs only the Table 3-6 ids, which the kernel
+//      itself never sends: no VM lock is ever held on handler entry.
 //
 // Blocking operations never hold a lock they could convoy on: waits for busy
 // pages use the owning object's condition variable (targeted wakeups, §5
@@ -172,8 +176,9 @@ class VmSystem {
   // objects can be paged out.
   void SetDefaultPager(SendRight service_port, TrustedParkingStore* parking);
 
-  // The port set the kernel's pager service thread receives on; every pager
-  // request port is enabled here at object creation.
+  // The port set the kernel's pager service thread receives on: the death
+  // notify port and every pager request port, whose handler declines
+  // anything but a Table 3-6 call to this queue.
   const std::shared_ptr<PortSet>& pager_request_set() const { return pager_requests_; }
 
   // Creates a fresh task VM context (map + pmap).
@@ -247,8 +252,11 @@ class VmSystem {
   Result<std::shared_ptr<VmMapCopy>> CopyFromBytes(const void* data, VmSize size);
 
   // --- manager -> kernel calls (Table 3-6) --------------------------------
-  // Dispatched by the kernel's pager service thread; `request_port_id`
-  // identifies the object. Also callable directly in tests.
+  // Run in the sending thread by a request port's kernel-object handler, and
+  // by the pager service thread for notifications and declined messages;
+  // `request_port_id` identifies the object. Also callable directly in
+  // tests. Calls on different threads run concurrently under the object
+  // locks.
 
   void HandlePagerMessage(uint64_t request_port_id, Message&& msg);
 
@@ -632,6 +640,12 @@ class VmSystem {
 
   // --- manager -> kernel handlers ----------------------------------------
 
+  // Makes `request` a kernel-owned port: the six Table 3-6 calls sent to it
+  // run HandlePagerMessage in the sender's thread; everything else queues
+  // for the pager service thread. Called before the port's send right
+  // leaves the kernel.
+  void InstallPagerRequestHandler(const ReceiveRight& request);
+
   void HandleDataProvided(const std::shared_ptr<VmObject>& object, VmOffset offset,
                           const std::vector<std::byte>& data, VmProt lock_value);
   void HandleDataUnavailable(const std::shared_ptr<VmObject>& object, VmOffset offset,
@@ -699,10 +713,20 @@ class VmSystem {
 
   // Every memory-object port is watched for death at association time
   // (vm_allocate_with_pager / pager_create); the notification lands here,
-  // inside pager_requests_, so the pager service thread dispatches it like
-  // any other manager->kernel message.
+  // inside pager_requests_, where the pager service thread receives it.
   ReceiveRight death_notify_receive_;
   SendRight death_notify_send_;
+
+  // The lifetime token every request port's handler holds. Handlers run
+  // with `mu` shared; ~VmSystem first clears `vm` with it exclusive, so a
+  // manager call racing teardown either finishes before it or declines to
+  // the port's queue.
+  struct KernelCallGuard {
+    explicit KernelCallGuard(VmSystem* system) : vm(system) {}
+    std::shared_mutex mu;
+    VmSystem* vm;
+  };
+  const std::shared_ptr<KernelCallGuard> kernel_calls_ = std::make_shared<KernelCallGuard>(this);
 
   SendRight default_pager_service_;  // Guarded by chain_mu_.
   TrustedParkingStore* parking_ = nullptr;

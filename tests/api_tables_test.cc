@@ -291,7 +291,6 @@ TEST_F(ApiTablesTest, PagerDataLockAndUnlock) {
   ASSERT_EQ(task_->Read(addr, &b, 1), KernReturn::kSuccess);
   ASSERT_TRUE(pager.WaitForTrace("pager_init"));
   DataManager::LockData(pager.request_port, 0, kPage, kVmProtWrite);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ASSERT_EQ(task_->Write(addr, &b, 1), KernReturn::kSuccess);
   EXPECT_TRUE(pager.WaitForTrace("pager_data_unlock"));
   task_.reset();
@@ -342,7 +341,6 @@ TEST_F(ApiTablesTest, PagerCacheRetention) {
   ASSERT_EQ(task_->Read(addr, &b, 1), KernReturn::kSuccess);
   ASSERT_TRUE(pager.WaitForTrace("pager_init"));
   DataManager::SetCaching(pager.request_port, true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ASSERT_EQ(task_->VmDeallocate(addr, kPage), KernReturn::kSuccess);
   EXPECT_NE(kernel_->vm().ObjectForPager(object), nullptr);  // Retained.
   task_.reset();

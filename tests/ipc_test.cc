@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "src/base/fault_injector.h"
 #include "src/ipc/ipc_faults.h"
@@ -671,6 +672,51 @@ TEST(DeadPortRightsTest, FullQueueSendFailureDestroysCarriedRights) {
   Result<Message> ns = MsgReceive(notify.receive, milliseconds(1000));
   ASSERT_TRUE(ns.ok());
   EXPECT_EQ(ns.value().id(), kMsgIdNoSenders);
+}
+
+// --- kernel-object handlers -----------------------------------------------
+
+TEST(KernelObjectTest, HandlerServesInTheSendersThreadOrDeclinesToTheQueue) {
+  PortPair p = PortAllocate("kernel-object");
+  std::vector<MsgId> served;
+  uint64_t served_port = 0;
+  std::thread::id served_on;
+  p.receive.port()->SetKernelObjectHandler([&](uint64_t port_id, Message& msg) {
+    if (msg.id() != 1) {
+      return false;
+    }
+    served.push_back(msg.id());
+    served_port = port_id;
+    served_on = std::this_thread::get_id();
+    return true;
+  });
+  ASSERT_EQ(MsgSend(p.send, Message(1), kPoll), KernReturn::kSuccess);
+  ASSERT_EQ(MsgSend(p.send, Message(2), kPoll), KernReturn::kSuccess);
+  EXPECT_EQ(served, std::vector<MsgId>{1});
+  EXPECT_EQ(served_port, p.receive.id());
+  EXPECT_EQ(served_on, std::this_thread::get_id());
+  // Only the declined message was queued.
+  EXPECT_EQ(p.receive.port()->Status().num_msgs, 1u);
+  EXPECT_EQ(MsgReceive(p.receive, kPoll).value().id(), 2u);
+}
+
+TEST(KernelObjectTest, FaultPointAndDeadCheckRunBeforeTheHandler) {
+  FaultInjector fi(7);
+  fi.SetSchedule(kIpcFaultEnqueue, {0});
+  IpcFaultGuard guard(&fi);
+  PortPair p = PortAllocate("kernel-object");
+  int calls = 0;
+  p.receive.port()->SetKernelObjectHandler([&calls](uint64_t, Message&) {
+    ++calls;
+    return true;
+  });
+  EXPECT_EQ(MsgSend(p.send, Message(1), kPoll), KernReturn::kPortFull);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(MsgSend(p.send, Message(1), kPoll), KernReturn::kSuccess);
+  EXPECT_EQ(calls, 1);
+  p.receive.Destroy();
+  EXPECT_EQ(MsgSend(p.send, Message(1), kPoll), KernReturn::kPortDead);
+  EXPECT_EQ(calls, 1);
 }
 
 // --- ipc.* fault points --------------------------------------------------

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -494,7 +495,6 @@ TEST_F(ExternalPagerTest, DataLockStripsExistingWriteAccess) {
   // Manager restricts writes (pager_data_lock).
   ASSERT_EQ(DataManager::LockData(pager_.last_request_port(), 0, kPage, kVmProtWrite),
             KernReturn::kSuccess);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   // Next write must renegotiate (auto_unlock answers it).
   int unlocks_before = pager_.unlock_count();
   ASSERT_EQ(task_->Write(addr, &v, sizeof(v)), KernReturn::kSuccess);
@@ -551,7 +551,6 @@ TEST_F(ExternalPagerTest, PagerCacheRetainsObjectAcrossMappings) {
   ASSERT_EQ(task_->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
   // Manager permits caching (pager_cache).
   ASSERT_EQ(DataManager::SetCaching(pager_.last_request_port(), true), KernReturn::kSuccess);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   int requests_before = pager_.request_count();
   ASSERT_EQ(task_->VmDeallocate(addr, kPage), KernReturn::kSuccess);
@@ -572,7 +571,6 @@ TEST_F(ExternalPagerTest, RescindingCacheTerminatesIdleObject) {
   uint64_t out = 0;
   ASSERT_EQ(task_->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
   ASSERT_EQ(DataManager::SetCaching(pager_.last_request_port(), true), KernReturn::kSuccess);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ASSERT_EQ(task_->VmDeallocate(addr, kPage), KernReturn::kSuccess);
   ASSERT_EQ(pager_.death_count(), 0);
   // "A data manager may later rescind its permission to cache" (§3.4.1).
@@ -586,7 +584,6 @@ TEST_F(ExternalPagerTest, TrimObjectCacheReclaims) {
   uint64_t out = 0;
   ASSERT_EQ(task_->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
   ASSERT_EQ(DataManager::SetCaching(pager_.last_request_port(), true), KernReturn::kSuccess);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ASSERT_EQ(task_->VmDeallocate(addr, kPage), KernReturn::kSuccess);
   size_t objects_before = kernel_->vm().object_count();
   EXPECT_GE(objects_before, 1u);
@@ -595,7 +592,6 @@ TEST_F(ExternalPagerTest, TrimObjectCacheReclaims) {
   // Force the pages out first by flushing.
   ASSERT_EQ(DataManager::FlushRequest(pager_.last_request_port(), 0, kPage),
             KernReturn::kSuccess);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   kernel_->vm().TrimObjectCache();
   EXPECT_LT(kernel_->vm().object_count(), objects_before);
   EXPECT_TRUE(pager_.WaitForDeaths(1));
@@ -621,7 +617,6 @@ TEST_F(ExternalPagerTest, PagerDeathOfCachedObjectFreesItsPages) {
   ASSERT_EQ(task->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
   ASSERT_EQ(task->Read(addr + kPage, &out, sizeof(out)), KernReturn::kSuccess);
   ASSERT_EQ(DataManager::SetCaching(pager_.last_request_port(), true), KernReturn::kSuccess);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ASSERT_EQ(task->VmDeallocate(addr, 2 * kPage), KernReturn::kSuccess);
   EXPECT_LT(kernel.phys().free_frames(), free_baseline);  // Cached pages resident.
 
@@ -903,6 +898,165 @@ TEST_F(ExternalPagerTest, ForgedOversizeDataRequestIsRejectedAtTheWire) {
   }
   EXPECT_EQ(pager_.protocol_rejects(), 1u);
   EXPECT_EQ(pager_.request_count(), requests_before);
+}
+
+// --- manager calls served in the sender's thread -----------------------------
+
+TEST_F(ExternalPagerTest, ProvidedDataIsInstalledBeforeTheSendReturns) {
+  // A local kernel serves a manager's Table 3-6 call in the manager's own
+  // thread: when msg_send returns, pager_data_provided has been applied.
+  SendRight object = pager_.NewObject();
+  VmOffset addr = task_->VmAllocateWithPager(2 * kPage, object, 0).value();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pager_.init_count() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(pager_.init_count(), 1);
+  const uint64_t pageins_before = kernel_->vm().Statistics().pageins;
+  std::vector<std::byte> data(kPage, std::byte{0x6D});
+  ASSERT_EQ(DataManager::ProvideData(pager_.last_request_port(), kPage, data, kVmProtNone),
+            KernReturn::kSuccess);
+  EXPECT_EQ(kernel_->vm().Statistics().pageins, pageins_before + 1);
+  // The unsolicited page is resident: reading it asks the manager nothing.
+  uint8_t out = 0;
+  ASSERT_EQ(task_->Read(addr + kPage, &out, 1), KernReturn::kSuccess);
+  EXPECT_EQ(out, 0x6D);
+  EXPECT_EQ(pager_.request_count(), 0);
+}
+
+// A data manager served in its sender's thread, like the kernel's own
+// request ports: it answers pager_data_request (with write-locked data) and
+// pager_data_unlock before the kernel's send returns — the earliest any
+// answer can land. Everything else (pager_init) stays queued, unread.
+class InlineLockingManager {
+ public:
+  InlineLockingManager() {
+    PortPair pair = PortAllocate("inline-manager");
+    pair.receive.port()->SetKernelObjectHandler([unlocks = unlocks_](uint64_t, Message& msg) {
+      if (msg.id() == kMsgPagerDataRequest) {
+        Result<PagerDataRequestArgs> req = DecodePagerDataRequest(msg);
+        if (req.ok()) {
+          std::vector<std::byte> data(req.value().length);
+          for (VmOffset off = 0; off < data.size(); off += kPage) {
+            uint64_t stamp = TestPager::Stamp(req.value().offset + off);
+            std::memcpy(data.data() + off, &stamp, sizeof(stamp));
+          }
+          DataManager::ProvideData(req.value().pager_request_port, req.value().offset,
+                                   std::move(data), kVmProtWrite);
+        }
+        return true;
+      }
+      if (msg.id() == kMsgPagerDataUnlock) {
+        Result<PagerDataUnlockArgs> unlock = DecodePagerDataUnlock(msg);
+        if (unlock.ok()) {
+          unlocks->fetch_add(1);
+          DataManager::LockData(unlock.value().pager_request_port, unlock.value().offset,
+                                unlock.value().length, kVmProtNone);
+        }
+        return true;
+      }
+      return false;
+    });
+    receive_ = std::move(pair.receive);
+    object_ = pair.send;
+  }
+
+  const SendRight& object() const { return object_; }
+  int unlocks() const { return unlocks_->load(); }
+
+ private:
+  // Shared with the handler, which the port may outlive.
+  std::shared_ptr<std::atomic<int>> unlocks_ = std::make_shared<std::atomic<int>>(0);
+  ReceiveRight receive_;
+  SendRight object_;
+};
+
+TEST(UnlockRaceTest, UnlockAnsweredBeforeTheFaulterWaitsIsNotLost) {
+  // The kernel drops the object lock to send pager_data_unlock. An answer
+  // that lands before the faulter takes the lock back has already fired its
+  // wakeup; waiting for it anyway cost a whole 100 ms slice, and with
+  // pager_timeout below the slice it failed the write. Every read-then-write
+  // upgrade here must succeed.
+  Kernel::Config config;
+  config.frames = 64;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  config.vm.pager_timeout = std::chrono::milliseconds(50);
+  config.vm.on_pager_timeout = VmSystem::Config::OnPagerTimeout::kError;
+  Kernel kernel(config);
+  std::shared_ptr<Task> task = kernel.CreateTask();
+  InlineLockingManager manager;
+  constexpr VmSize kPages = 16;
+  VmOffset addr = task->VmAllocateWithPager(kPages * kPage, manager.object(), 0).value();
+  for (VmOffset p = 0; p < kPages; ++p) {
+    uint64_t out = 0;
+    ASSERT_EQ(task->Read(addr + p * kPage, &out, sizeof(out)), KernReturn::kSuccess);
+    EXPECT_EQ(out, TestPager::Stamp(p * kPage));
+    uint64_t v = 0xB0B0000000000000ull + p;
+    ASSERT_EQ(task->Write(addr + p * kPage, &v, sizeof(v)), KernReturn::kSuccess)
+        << "upgrade of page " << p;
+  }
+  EXPECT_EQ(manager.unlocks(), static_cast<int>(kPages));
+  task.reset();
+}
+
+TEST_F(ErrantManagerTest, RequestPortNamedAsMemoryObjectQueuesTheKernelsOwnCalls) {
+  // An errant manager passes the request port it got in pager_init as the
+  // memory object of a second mapping on the same kernel, so the kernel's
+  // own Table 3-5 calls land on its own request port. The port's handler
+  // must decline them to the queue — running them would re-enter the kernel
+  // under its own locks (termination writes back under chain_mu_) — and the
+  // fault resolves per OnPagerTimeout. A bare VmSystem has no pager service
+  // thread, so whatever was declined is still queued at the end.
+  for (auto policy : {VmSystem::Config::OnPagerTimeout::kError,
+                      VmSystem::Config::OnPagerTimeout::kZeroFill}) {
+    const bool zero_fill = policy == VmSystem::Config::OnPagerTimeout::kZeroFill;
+    PhysicalMemory phys(64, kPage);
+    VmSystem::Config config;
+    config.pager_timeout = std::chrono::milliseconds(50);
+    config.on_pager_timeout = policy;
+    VmSystem vm(&phys, config);
+    TaskVm task = vm.CreateTaskVm();
+    TestPager pager;
+    pager.Start();
+    SendRight object = pager.NewObject();
+    VmOffset good = vm.AllocateWithPager(task, 0, kPage, true, object, 0).value();
+    uint64_t out = 0;
+    // Answered in the manager's thread: no service thread needed.
+    ASSERT_EQ(vm.ReadMemory(task, good, &out, sizeof(out)), KernReturn::kSuccess);
+    EXPECT_EQ(out, TestPager::Stamp(0));
+    SendRight request = pager.last_request_port();
+    ASSERT_TRUE(request.valid());
+
+    VmOffset errant = vm.AllocateWithPager(task, 0, kPage, true, request, 0).value();
+    std::vector<MsgId> expected = {kMsgPagerInit, kMsgPagerDataRequest};
+    if (zero_fill) {
+      out = 0xFF;
+      ASSERT_EQ(vm.ReadMemory(task, errant, &out, sizeof(out)), KernReturn::kSuccess);
+      EXPECT_EQ(out, 0u);
+      uint64_t v = 0xEE;
+      ASSERT_EQ(vm.WriteMemory(task, errant, &v, sizeof(v)), KernReturn::kSuccess);
+      expected.push_back(kMsgPagerDataWrite);  // Termination writes the dirty page back.
+    } else {
+      EXPECT_EQ(vm.ReadMemory(task, errant, &out, sizeof(out)), KernReturn::kMemoryFailure);
+    }
+    ASSERT_EQ(vm.Deallocate(task, errant, kPage), KernReturn::kSuccess);
+
+    std::vector<MsgId> queued;
+    for (;;) {
+      Result<Message> msg = vm.pager_request_set()->Receive(kPoll);
+      if (!msg.ok()) {
+        break;
+      }
+      queued.push_back(msg.value().id());
+    }
+    EXPECT_EQ(queued, expected);
+    // The first object never saw the kernel's calls as its manager's.
+    ASSERT_EQ(vm.ReadMemory(task, good, &out, sizeof(out)), KernReturn::kSuccess);
+    EXPECT_EQ(out, TestPager::Stamp(0));
+    ASSERT_EQ(vm.Deallocate(task, good, kPage), KernReturn::kSuccess);
+    pager.Stop();
+  }
 }
 
 }  // namespace

@@ -507,5 +507,177 @@ TEST(VmConcurrentTest, OptimisticLookupSurvivesRegionChurn) {
   ExpectTeardownToBaseline(*kernel, free_baseline);
 }
 
+// Never answers a request itself: the tests below send its Table 3-6 calls
+// from threads of their own, with the request port pager_init brought.
+class PassivePager : public DataManager {
+ public:
+  PassivePager() : DataManager("passive-pager") {}
+  SendRight NewObject() { return CreateMemoryObject(1); }
+
+  SendRight WaitForRequestPort() {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> g(mu_);
+        if (request_.valid() || std::chrono::steady_clock::now() > deadline) {
+          return request_;
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+
+ protected:
+  void OnInit(uint64_t, uint64_t, PagerInitArgs args) override {
+    std::lock_guard<std::mutex> g(mu_);
+    request_ = args.pager_request_port;
+  }
+  void OnDataRequest(uint64_t, uint64_t, PagerDataRequestArgs) override {}
+
+ private:
+  std::mutex mu_;
+  SendRight request_;
+};
+
+TEST(VmConcurrentTest, ConcurrentProvidersOfOverlappingRuns) {
+  // A manager's calls run in the threads that send them, so two threads
+  // providing one object now race inside the kernel — the pager service
+  // thread used to serialise them. Two providers sweep overlapping runs
+  // over the object while readers fault every page and then mark it. Each
+  // read must carry the manager's stamp; a provision of a resident page
+  // must be ignored, so the marks survive the later sweeps and every page
+  // is paged in exactly once.
+  constexpr int kPages = 64;
+  constexpr int kRun = 8;
+  constexpr int kReaders = 4;
+  auto kernel = MakeKernel(256);  // No memory pressure: nothing pages out.
+  const uint64_t free_baseline = kernel->phys().free_frames();
+  PassivePager pager;
+  pager.Start();
+  SendRight object = pager.NewObject();
+  auto task = kernel->CreateTask(nullptr, "provide-race");
+  const VmOffset base = task->VmAllocateWithPager(VmSize{kPages} * kPage, object, 0).value();
+  SendRight request = pager.WaitForRequestPort();
+  ASSERT_TRUE(request.valid());
+  const uint64_t pageins_before = kernel->vm().Statistics().pageins;
+
+  auto stamp = [](VmOffset off) { return 0x57A4000000000000ull + off; };
+  std::atomic<bool> stop{false};
+  std::atomic<int> sweeps{0};
+  std::vector<std::thread> providers;
+  for (int t = 0; t < 2; ++t) {
+    providers.emplace_back([&, t] {
+      // The second provider's runs straddle the first's.
+      const VmOffset shift = VmOffset{static_cast<uint64_t>(t)} * (kRun / 2) * kPage;
+      const VmSize end = VmSize{kPages} * kPage;
+      while (!stop.load()) {
+        for (VmOffset start = shift; start < end; start += VmSize{kRun} * kPage) {
+          std::vector<std::byte> run(std::min<VmSize>(VmSize{kRun} * kPage, end - start));
+          for (VmOffset off = 0; off < run.size(); off += kPage) {
+            uint64_t word = stamp(start + off);
+            std::memcpy(run.data() + off, &word, sizeof(word));
+          }
+          DataManager::ProvideData(request, start, std::move(run), kVmProtNone);
+        }
+        sweeps.fetch_add(1);
+      }
+    });
+  }
+  std::atomic<int> errors{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int i = 0; i < kPages; ++i) {
+        const int p = (i + r * (kPages / kReaders)) % kPages;
+        const VmOffset addr = base + static_cast<VmSize>(p) * kPage;
+        auto got = task->ReadValue<uint64_t>(addr);
+        if (!got.ok() || got.value() != stamp(static_cast<VmOffset>(p) * kPage)) {
+          ++errors;
+        }
+        if (task->WriteValue<uint64_t>(addr + 8 * (r + 1), 0xAA00 + r) != KernReturn::kSuccess) {
+          ++errors;
+        }
+      }
+    });
+  }
+  for (auto& r : readers) {
+    r.join();
+  }
+  // Later sweeps land on resident, marked pages.
+  const int sweeps_after_reads = sweeps.load();
+  while (sweeps.load() < sweeps_after_reads + 4) {
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (auto& t : providers) {
+    t.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
+  for (int p = 0; p < kPages; ++p) {
+    const VmOffset addr = base + static_cast<VmSize>(p) * kPage;
+    ASSERT_EQ(task->ReadValue<uint64_t>(addr).value(), stamp(static_cast<VmOffset>(p) * kPage));
+    for (int r = 0; r < kReaders; ++r) {
+      ASSERT_EQ(task->ReadValue<uint64_t>(addr + 8 * (r + 1)).value(), 0xAA00u + r)
+          << "page " << p << " lost reader " << r << "'s mark to a duplicate provision";
+    }
+  }
+  EXPECT_EQ(kernel->vm().Statistics().pageins - pageins_before, static_cast<uint64_t>(kPages));
+
+  task.reset();
+  object = SendRight();
+  request = SendRight();
+  ExpectTeardownToBaseline(*kernel, free_baseline);
+  pager.Stop();
+}
+
+TEST(VmConcurrentTest, KernelTeardownRacesManagerProvides) {
+  // A manager call runs in the manager's thread right up to the kernel's
+  // destruction. The lifetime guard must make a send racing ~VmSystem
+  // either finish before it or decline (and then fail once the request port
+  // dies with its object) — never run against a dead kernel.
+  auto kernel = MakeKernel(64);
+  PassivePager pager;
+  pager.Start();
+  SendRight object = pager.NewObject();
+  auto task = kernel->CreateTask(nullptr, "teardown");
+  ASSERT_TRUE(task->VmAllocateWithPager(8 * kPage, object, 0).ok());
+  SendRight request = pager.WaitForRequestPort();
+  ASSERT_TRUE(request.valid());
+  // A cached object keeps its request port alive until the kernel dies.
+  ASSERT_EQ(DataManager::SetCaching(request, true), KernReturn::kSuccess);
+  task.reset();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> served{0};
+  std::atomic<int> failed{0};
+  std::atomic<int> other{0};
+  std::thread sender([&] {
+    std::vector<std::byte> data(kPage, std::byte{0x42});
+    for (VmOffset off = 0; !stop.load(); off = (off + kPage) % (8 * kPage)) {
+      KernReturn kr = DataManager::ProvideData(request, off, data, kVmProtNone);
+      if (kr == KernReturn::kSuccess) {
+        ++served;
+      } else if (kr == KernReturn::kPortDead) {
+        ++failed;
+      } else {
+        ++other;
+      }
+    }
+  });
+  while (served.load() < 100) {
+    std::this_thread::yield();
+  }
+  kernel.reset();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (failed.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  sender.join();
+  EXPECT_GT(failed.load(), 0) << "the request port outlived its kernel";
+  EXPECT_EQ(other.load(), 0);
+  pager.Stop();
+}
+
 }  // namespace
 }  // namespace mach
