@@ -21,7 +21,7 @@ PhysicalMemory::PhysicalMemory(uint32_t frame_count, VmSize page_size)
   }
 }
 
-std::optional<uint32_t> PhysicalMemory::AllocFrame(uint32_t reserve) {
+std::optional<uint32_t> PhysicalMemory::AllocFrame(uint32_t reserve, bool zero) {
   uint32_t frame;
   {
     std::lock_guard<std::mutex> g(free_mu_);
@@ -35,12 +35,15 @@ std::optional<uint32_t> PhysicalMemory::AllocFrame(uint32_t reserve) {
   frames_[frame].referenced = false;
   frames_[frame].modified = false;
   assert(frames_[frame].pv.empty());
+  if (zero) {
+    std::memset(data_.data() + static_cast<size_t>(frame) * page_size_, 0, page_size_);
+  }
   return frame;
 }
 
 void PhysicalMemory::FreeFrame(uint32_t frame) {
   assert(frame < frame_count_);
-  MACH_DEBUG_ASSERT(PvList(frame).empty());
+  MACH_DEBUG_ASSERT(mapping_count(frame) == 0);
   std::lock_guard<std::mutex> g(free_mu_);
   free_list_.push_back(frame);
 }
@@ -48,7 +51,7 @@ void PhysicalMemory::FreeFrame(uint32_t frame) {
 void PhysicalMemory::FreeFrames(const std::vector<uint32_t>& frames) {
   for (uint32_t frame : frames) {
     assert(frame < frame_count_);
-    MACH_DEBUG_ASSERT(PvList(frame).empty());
+    MACH_DEBUG_ASSERT(mapping_count(frame) == 0);
   }
   std::lock_guard<std::mutex> g(free_mu_);
   free_list_.insert(free_list_.end(), frames.begin(), frames.end());
@@ -150,24 +153,22 @@ void PhysicalMemory::SetModify(uint32_t frame) {
 }
 
 void PhysicalMemory::PvAdd(uint32_t frame, Pmap* pmap, VmOffset vaddr) {
-  std::lock_guard<std::mutex> g(frames_[frame].mu);
-  frames_[frame].pv.push_back(PvEntry{pmap, vaddr});
+  Frame& f = frames_[frame];
+  std::lock_guard<std::mutex> g(f.mu);
+  f.pv.push_back(PvEntry{pmap, vaddr});
+  f.mappings.store(static_cast<uint32_t>(f.pv.size()), std::memory_order_release);
 }
 
 void PhysicalMemory::PvRemove(uint32_t frame, Pmap* pmap, VmOffset vaddr) {
-  std::lock_guard<std::mutex> g(frames_[frame].mu);
-  auto& pv = frames_[frame].pv;
-  auto it = std::find_if(pv.begin(), pv.end(), [&](const PvEntry& e) {
+  Frame& f = frames_[frame];
+  std::lock_guard<std::mutex> g(f.mu);
+  auto it = std::find_if(f.pv.begin(), f.pv.end(), [&](const PvEntry& e) {
     return e.pmap == pmap && e.vaddr == vaddr;
   });
-  if (it != pv.end()) {
-    pv.erase(it);
+  if (it != f.pv.end()) {
+    f.pv.erase(it);
+    f.mappings.store(static_cast<uint32_t>(f.pv.size()), std::memory_order_release);
   }
-}
-
-std::vector<PvEntry> PhysicalMemory::PvList(uint32_t frame) const {
-  std::lock_guard<std::mutex> g(frames_[frame].mu);
-  return frames_[frame].pv;
 }
 
 }  // namespace mach

@@ -13,6 +13,13 @@
 // no pmap lock at all and validates its translation under the frame lock
 // instead (AccessIf). Two frame locks are only ever held together by
 // CopyFrame, which acquires them in frame-index order.
+//
+// Each frame also publishes its number of mappings (the pv list's length),
+// written under the frame lock and readable without it, so
+// Pmap::PageProtect returns at once for a frame nobody maps — every page
+// vm_deallocate frees after its Pmap::Remove. PvList lets a pv walker hold
+// each listed pmap before the frame lock drops; ~Pmap waits for those
+// holds, so a walk never reaches a destroyed pmap (see pmap.h).
 
 #ifndef SRC_HW_PHYSICAL_MEMORY_H_
 #define SRC_HW_PHYSICAL_MEMORY_H_
@@ -53,10 +60,12 @@ class PhysicalMemory {
   // Raw frame allocation. The VM layer's free queue sits above this; these
   // simply hand out unused frames. AllocFrame returns nullopt when no more
   // than `reserve` frames are free (the check and the allocation are one
-  // free-list critical section). FreeFrames returns a batch of frames under
-  // one free-list acquisition, in order, exactly as that many FreeFrame
-  // calls would. A freed frame must have no mappings left on its pv list.
-  std::optional<uint32_t> AllocFrame(uint32_t reserve = 0);
+  // free-list critical section); `zero` clears the frame's data in the same
+  // frame-lock acquisition that clears its hardware bits. FreeFrames
+  // returns a batch of frames under one free-list acquisition, in order,
+  // exactly as that many FreeFrame calls would. A freed frame must have no
+  // mappings left on its pv list.
+  std::optional<uint32_t> AllocFrame(uint32_t reserve = 0, bool zero = false);
   void FreeFrame(uint32_t frame);
   void FreeFrames(const std::vector<uint32_t>& frames);
   uint32_t free_frames() const;
@@ -89,10 +98,29 @@ class PhysicalMemory {
   void SetReference(uint32_t frame);
   void SetModify(uint32_t frame);
 
-  // pv-list maintenance, used by Pmap.
+  // pv-list maintenance, used by Pmap. PvList copies the list under the
+  // frame's lock; a pv walker passes `hold`, called for every entry before
+  // that lock drops, to keep each pmap alive until it is done with it.
   void PvAdd(uint32_t frame, Pmap* pmap, VmOffset vaddr);
   void PvRemove(uint32_t frame, Pmap* pmap, VmOffset vaddr);
-  std::vector<PvEntry> PvList(uint32_t frame) const;
+  std::vector<PvEntry> PvList(uint32_t frame) const {
+    return PvList(frame, [](Pmap*) {});
+  }
+  template <typename Hold>
+  std::vector<PvEntry> PvList(uint32_t frame, Hold&& hold) const {
+    std::lock_guard<std::mutex> g(frames_[frame].mu);
+    for (const PvEntry& e : frames_[frame].pv) {
+      hold(e.pmap);
+    }
+    return frames_[frame].pv;
+  }
+
+  // The frame's number of mappings, read without taking its lock. It
+  // counts every mapping entered under a lock the caller has acquired since
+  // (PageProtect's callers hold the owning object's lock).
+  uint32_t mapping_count(uint32_t frame) const {
+    return frames_[frame].mappings.load(std::memory_order_acquire);
+  }
 
  private:
   struct Frame {
@@ -100,6 +128,7 @@ class PhysicalMemory {
     bool referenced = false;
     bool modified = false;
     std::vector<PvEntry> pv;
+    std::atomic<uint32_t> mappings{0};  // pv.size(), stored under mu.
   };
 
   const uint32_t frame_count_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <thread>
 
 namespace mach {
 
@@ -10,11 +11,19 @@ Pmap::Pmap(PhysicalMemory* phys)
     : phys_(phys), page_shift_(static_cast<unsigned>(std::countr_zero(phys->page_size()))) {}
 
 Pmap::~Pmap() {
-  // Drop all pv entries for translations still installed.
-  std::lock_guard<std::mutex> g(mu_);
-  ForEachPte(0, ~VmOffset{0}, [&](std::atomic<Pte>&, uint64_t pn, Pte pte) {
-    phys_->PvRemove(PteFrame(pte), this, PageAddr(pn));
-  });
+  {
+    // Drop all pv entries for translations still installed.
+    std::lock_guard<std::mutex> g(mu_);
+    ForEachPte(0, ~VmOffset{0}, [&](std::atomic<Pte>&, uint64_t pn, Pte pte) {
+      phys_->PvRemove(PteFrame(pte), this, PageAddr(pn));
+    });
+  }
+  // No pv list names this pmap any more, so no new walk can reach it. A
+  // walk that copied an entry before it went took its hold under the frame
+  // lock PvRemove took after it: wait for those (mu_ is free for them).
+  while (walkers_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
   FreeTree(root_.load(std::memory_order_relaxed));
 }
 
@@ -207,10 +216,18 @@ void Pmap::LowerProtection(VmOffset page_addr, uint32_t frame, VmProt prot) {
 }
 
 void Pmap::PageProtect(PhysicalMemory* phys, uint32_t frame, VmProt prot) {
+  if (phys->mapping_count(frame) == 0) {
+    return;  // Nothing maps the frame: nothing to lower, no copy in flight.
+  }
   // Copy the pv list first: pv access takes the frame lock, and we must not
   // hold it while taking individual pmap locks (lock order pmap > frame).
-  for (const PvEntry& e : phys->PvList(frame)) {
+  // Each listed pmap is held from inside that lock until its entry is
+  // lowered, so a dying task's ~Pmap waits for us instead of freeing it.
+  const std::vector<PvEntry> pv = phys->PvList(
+      frame, [](Pmap* pmap) { pmap->walkers_.fetch_add(1, std::memory_order_relaxed); });
+  for (const PvEntry& e : pv) {
     e.pmap->LowerProtection(e.vaddr, frame, prot);
+    e.pmap->walkers_.fetch_sub(1, std::memory_order_release);
   }
 }
 

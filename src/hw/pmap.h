@@ -26,6 +26,14 @@
 // copy through the old translation is still in flight — the guarantee a TLB
 // shootdown gives. Writers may take frame (pv) locks while holding mu_,
 // never the reverse (PageProtect copies the pv list first).
+//
+// PageProtect returns at once for a frame with no mappings (its count is
+// PhysicalMemory::mapping_count), taking no lock. Otherwise it holds each
+// pmap it copied from the pv list, from inside the frame lock until it has
+// lowered that pmap's entry, and ~Pmap waits for its holds to drain after
+// withdrawing its own pv entries: a task may die while a pager call or the
+// pageout daemon is walking one of its frames, and the walk never reaches
+// a destroyed pmap.
 
 #ifndef SRC_HW_PMAP_H_
 #define SRC_HW_PMAP_H_
@@ -88,7 +96,9 @@ class Pmap {
   // in all pmaps, to at most `prot`. Used for copy-on-write write-protection
   // and for pageout (prot == none). Callers serialise against racing new
   // mappings with the owning VmObject's lock (faults only install a frame
-  // while it is pinned, and pinned frames are re-checked at unpin).
+  // while it is pinned, and pinned frames are re-checked at unpin); that
+  // same lock makes every mapping they must lower visible to the lock-free
+  // mapping-count check, so an unmapped frame returns at once.
   static void PageProtect(PhysicalMemory* phys, uint32_t frame, VmProt prot);
 
   // Simulated CPU access: copies `len` bytes between `buf` and the virtual
@@ -177,6 +187,9 @@ class Pmap {
   const unsigned page_shift_;
   mutable std::mutex mu_;            // Writers only.
   std::atomic<Node*> root_{nullptr};  // Written under mu_, read lock-free.
+  // PageProtect walks holding this pmap (taken under a frame lock while
+  // copying the pv list, dropped once its entry is lowered).
+  std::atomic<uint32_t> walkers_{0};
   size_t entries_ = 0;                // Guarded by mu_.
   size_t nodes_ = 0;                  // Guarded by mu_.
 };

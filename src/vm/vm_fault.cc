@@ -728,20 +728,22 @@ bool VmSystem::TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt acces
   if (!e->object->alive) {
     return false;
   }
-  VmPage* page = PageLookupRaw(e->object.get(), object_offset);
-  const bool zero_fill =
-      page == nullptr && !e->needs_copy && AnonymousLocked(*e->object);
-  if (zero_fill) {
-    // First touch of anonymous memory: nothing in the chain can hold data,
-    // so the locked path would zero-fill this very slot. Do it here, under
-    // the one object lock this tier holds. A frame shortage is locked-path
-    // work (it waits for the pageout daemon).
-    Result<VmPage*> np =
-        ZeroFillLocked(olk, e->object.get(), object_offset, /*allow_reserve=*/false);
-    if (!np.ok()) {
-      return false;
+  VmPage* page = nullptr;
+  bool zero_fill = false;
+  if (!e->needs_copy && AnonymousLocked(*e->object)) {
+    // Anonymous memory: nothing in the chain can hold data, so the locked
+    // path would zero-fill a missing page in this very slot. Claim it here,
+    // under the one object lock this tier holds, in the same shard
+    // acquisition that finds a page already resident there. A frame
+    // shortage is locked-path work (it waits for the pageout daemon).
+    Result<VmPage*> np = ZeroFillLocked(olk, e->object.get(), object_offset,
+                                        /*allow_reserve=*/false, &page);
+    zero_fill = np.ok();
+    if (zero_fill) {
+      page = np.value();
     }
-    page = np.value();
+  } else {
+    page = PageLookupRaw(e->object.get(), object_offset);
   }
   if (page == nullptr || page->busy || page->absent || page->unavailable ||
       page->error) {
@@ -784,9 +786,10 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
   QueueBatchDrainedCheck batch_check;
   MaybeDrainDeferred();
   // Tier 0: the lock-free resolution. Touches no map lock at all — two
-  // locks total (object + pmap, plus the page-hash shard) for the common
-  // resident re-fault, and object, two shard probes and the queue for the
-  // first touch of anonymous memory.
+  // VM-tier locks (object, one page-hash shard) for the common resident
+  // re-fault, and three (object, one shard acquisition that finds or claims
+  // the slot, queue) for the first touch of anonymous memory; the pmap
+  // writer lock and frame locks are the hardware tier.
   if (config_.optimistic_map_lookup && TryOptimisticFault(task, page_addr, access)) {
     return KernReturn::kSuccess;
   }

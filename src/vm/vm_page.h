@@ -1,19 +1,26 @@
 // Resident page structures (§5.3) and pageout queues (§5.4).
 //
 // Each VmPage corresponds to a page of physical memory holding cached data
-// for some (memory object, offset). Pages live on:
-//   * their object's page list        (object_link)
-//   * one of the pageout queues       (queue_link): active / inactive
-// and are findable through the virtual-to-physical hash table (§5.3),
-// keyed by (object, offset).
+// for some (memory object, offset). As in Mach's resident page table, a
+// VmPage belongs to its frame for the kernel's life: VmSystem builds one per
+// physical frame, indexed by frame number, when it is constructed, so a
+// fault allocates no memory. While its frame is allocated, a page lives on:
+//   * its object's page list        (object_link)
+//   * one of the pageout queues     (queue_link): active / inactive
+//   * one object/offset hash bucket (hash_next)
+// and is findable through the virtual-to-physical hash table (§5.3), keyed
+// by (object, offset). While its frame is free the page is on no list, and
+// its state is reset when the frame is handed out again (in sanitizer
+// builds it is poisoned in between; see VmSystem::PageAllocLocked).
 //
 // Locking: a page's state fields (busy/absent/error/..., page_lock, dirty,
 // identity and pin_count) are protected by the *owning VmObject's* lock; the
 // queue membership fields (queue_link, and the identity fields while a
 // PageRename is in flight) are additionally protected by the VmSystem page-
-// queue lock. The `queue` tag itself is atomic: it is only *written* under
-// the queue lock, but may be *read* without it, so PageActivate can skip the
-// lock entirely for a page already on the active queue (the overwhelmingly
+// queue lock, and hash_next by the shard lock of the page's hash bucket.
+// The `queue` tag itself is atomic: it is only *written* under the queue
+// lock, but may be *read* without it, so PageActivate can skip the lock
+// entirely for a page already on the active queue (the overwhelmingly
 // common case on the fault path). A stale read is benign — the slow path
 // re-checks under the lock, and a page that deactivates concurrently is
 // rescued later by its hardware reference bit (second chance). Frame
@@ -38,7 +45,8 @@ struct VmPage {
   VmObject* object = nullptr;
   VmOffset offset = 0;
 
-  // The physical frame backing this page.
+  // The physical frame backing this page: fixed, and the page's index in
+  // VmSystem's page table.
   uint32_t frame = UINT32_MAX;
 
   // Page state (§5.3 and Mach's vm_page):
@@ -80,6 +88,7 @@ struct VmPage {
 
   IntrusiveListNode object_link;  // VmObject::pages
   IntrusiveListNode queue_link;   // VmSystem active/inactive queue
+  VmPage* hash_next = nullptr;    // Next in its hash bucket (shard lock).
 };
 
 using PageQueue = IntrusiveList<VmPage, &VmPage::queue_link>;

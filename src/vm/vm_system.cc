@@ -9,6 +9,10 @@
 #include <cstring>
 #include <unordered_set>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "src/base/debug.h"
 #include "src/base/fault_injector.h"
 #include "src/base/lock_probe.h"
@@ -17,12 +21,63 @@
 
 namespace mach {
 
+namespace {
+
+// A free frame's page is poisoned in ASan builds, from before the frame
+// returns to the free list until PageAllocLocked hands it out again, so a
+// use of a freed page is still reported — though only until the frame's
+// reuse, where a heap page would have stayed poisoned longer.
+void PoisonPage(VmPage* page) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(page, sizeof(VmPage));
+#else
+  (void)page;
+#endif
+}
+
+void UnpoisonPage(VmPage* page) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(page, sizeof(VmPage));
+#else
+  (void)page;
+#endif
+}
+
+VmPage* FindInChain(VmPage* head, const VmObject* object, VmOffset offset) {
+  while (head != nullptr && (head->object != object || head->offset != offset)) {
+    head = head->hash_next;
+  }
+  return head;
+}
+
+void UnlinkFromChain(VmPage*& head, VmPage* page) {
+  VmPage** link = &head;
+  while (*link != page) {
+    assert(*link != nullptr);
+    link = &(*link)->hash_next;
+  }
+  *link = page->hash_next;
+  page->hash_next = nullptr;
+}
+
+}  // namespace
+
 VmSystem::VmSystem(PhysicalMemory* phys, Config config, FaultInjector* injector)
     : phys_(phys),
       config_(config),
       injector_(injector),
       free_target_(std::max<uint32_t>(phys->frame_count() / 8, 4)),
-      reserved_(std::max<uint32_t>(phys->frame_count() / 64, 2)) {
+      reserved_(std::max<uint32_t>(phys->frame_count() / 64, 2)),
+      page_table_(phys->frame_count()) {
+  // Every frame is free: its page waits, poisoned, for PageAllocLocked.
+  for (uint32_t f = 0; f < page_table_.size(); ++f) {
+    page_table_[f].frame = f;
+    PoisonPage(&page_table_[f]);
+  }
+  while ((kPageHashShards << bucket_shift_) < phys->frame_count()) {
+    ++bucket_shift_;
+  }
+  buckets_.assign(kPageHashShards << bucket_shift_, nullptr);
   // A PinBatch may hold this many frames pinned at once; keep it a small
   // fraction of physical memory so batching can never starve reclaim.
   pin_batch_cap_ = std::min<size_t>(QueueBatch::kCapacity,
@@ -52,16 +107,21 @@ VmSystem::~VmSystem() {
   // Execution is single-threaded by now, but PageFreeLocked still wants the
   // owner's lock as its witness.
   std::vector<VmPage*> pages;
-  for (PageHashShard& shard : page_shards_) {
-    std::lock_guard<std::mutex> g(shard.mu);
-    for (auto& [key, page] : shard.map) {
-      pages.push_back(page);
+  for (size_t s = 0; s < kPageHashShards; ++s) {
+    std::lock_guard<std::mutex> g(page_shards_[s].mu);
+    for (size_t b = s << bucket_shift_; b < (s + 1) << bucket_shift_; ++b) {
+      for (VmPage* page = buckets_[b]; page != nullptr; page = page->hash_next) {
+        pages.push_back(page);
+      }
     }
   }
   for (VmPage* page : pages) {
     ObjectLock olk(page->object->mu);
     PageFreeLocked(olk, page);
   }
+  // Every page was hashed from allocation to free, so every frame is back:
+  // one short is a page unhashed and never freed (a leaked placeholder).
+  MACH_DEBUG_ASSERT(phys_->free_frames() == phys_->frame_count());
 }
 
 void VmSystem::SetDefaultPager(SendRight service_port, TrustedParkingStore* parking) {
@@ -81,64 +141,79 @@ TaskVm VmSystem::CreateTaskVm() {
 
 // --- resident page management ---------------------------------------------
 
-VmSystem::PageHashShard& VmSystem::ShardFor(const VmObject* object, VmOffset offset) const {
-  return page_shards_[PageKeyHash{}(PageKey{object, offset}) & (kPageHashShards - 1)];
+VmSystem::Bucket VmSystem::BucketFor(const VmObject* object, VmOffset offset) const {
+  // Object pointers share allocator alignment and offsets are page
+  // multiples; a full-avalanche mix keeps (object, offset) keys from
+  // clustering (see src/base/hash.h). Its low bits pick the shard, so shard
+  // load stays uniform, and the bits above them the bucket within it.
+  const uint64_t h = HashPointerAndU64(object, offset);
+  const size_t shard = h & (kPageHashShards - 1);
+  const size_t within = (h >> kPageHashShardBits) & ((size_t{1} << bucket_shift_) - 1);
+  return Bucket{page_shards_[shard], buckets_[(shard << bucket_shift_) | within]};
 }
 
 VmPage* VmSystem::PageLookup(VmObject* object, VmOffset offset) {
   counters_.lookups.fetch_add(1, std::memory_order_relaxed);
-  PageHashShard& shard = ShardFor(object, offset);
-  lock_probe::Note();
-  std::lock_guard<std::mutex> g(shard.mu);
-  auto it = shard.map.find(PageKey{object, offset});
-  if (it == shard.map.end()) {
-    return nullptr;
+  VmPage* page = PageLookupRaw(object, offset);
+  if (page != nullptr) {
+    counters_.hits.fetch_add(1, std::memory_order_relaxed);
   }
-  counters_.hits.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  return page;
 }
 
 VmPage* VmSystem::PageLookupRaw(const VmObject* object, VmOffset offset) const {
-  // The optimistic fault path's probe: identical to PageLookup minus the
-  // lookups/hits counter traffic (two contended xadds the lock-free path
-  // exists to avoid; the optimistic counters already tell the story).
-  PageHashShard& shard = ShardFor(object, offset);
+  // PageLookup minus the lookups/hits counter traffic (two contended xadds
+  // the lock-free fault path exists to avoid; the optimistic counters
+  // already tell the story).
+  Bucket b = BucketFor(object, offset);
   lock_probe::Note();
-  std::lock_guard<std::mutex> g(shard.mu);
-  auto it = shard.map.find(PageKey{object, offset});
-  return it == shard.map.end() ? nullptr : it->second;
+  std::lock_guard<std::mutex> g(b.shard.mu);
+  return FindInChain(b.head, object, offset);
 }
 
 bool VmSystem::PageResident(const VmObject* object, VmOffset offset) const {
-  PageHashShard& shard = ShardFor(object, offset);
-  lock_probe::Note();
-  std::lock_guard<std::mutex> g(shard.mu);
-  return shard.map.count(PageKey{object, offset}) != 0;
+  return PageLookupRaw(object, offset) != nullptr;
 }
 
-Result<VmPage*> VmSystem::PageAllocLocked(VmObject* object, VmOffset offset, bool allow_reserve) {
+Result<VmPage*> VmSystem::PageAllocLocked(VmObject* object, VmOffset offset, bool allow_reserve,
+                                          bool zero, VmPage** present) {
   assert(offset % page_size() == 0);
   VmPage* page = nullptr;
   {
-    PageHashShard& shard = ShardFor(object, offset);
+    Bucket b = BucketFor(object, offset);
     lock_probe::Note();
-    std::lock_guard<std::mutex> g(shard.mu);
+    std::lock_guard<std::mutex> g(b.shard.mu);
     // The caller may have dropped the object lock since it probed: claiming
     // an occupied slot would leave two VmPages on it, so report it and let
-    // the caller rescan. Claim and check are one shard acquisition.
-    auto [slot, claimed] = shard.map.try_emplace(PageKey{object, offset}, nullptr);
-    if (!claimed) {
+    // the caller rescan (or take the page it found). Check and claim are
+    // one shard acquisition.
+    if (VmPage* held = FindInChain(b.head, object, offset); held != nullptr) {
+      if (present != nullptr) {
+        *present = held;
+      }
       return KernReturn::kMemoryPresent;
     }
-    std::optional<uint32_t> frame = phys_->AllocFrame(allow_reserve ? 0 : reserved_);
+    std::optional<uint32_t> frame = phys_->AllocFrame(allow_reserve ? 0 : reserved_, zero);
     if (frame.has_value()) {
-      page = new VmPage();
+      // The frame's page, back from the free list: nothing of its previous
+      // use may survive (its lists were left when it was freed).
+      page = &page_table_[*frame];
+      UnpoisonPage(page);
+      assert(!page->object_link.linked() && !page->queue_link.linked());
+      assert(page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kNone);
       page->object = object;
       page->offset = offset;
-      page->frame = *frame;
-      slot->second = page;
-    } else {
-      shard.map.erase(slot);
+      page->busy = false;
+      page->absent = false;
+      page->error = false;
+      page->unavailable = false;
+      page->dirty = false;
+      page->unlock_pending = false;
+      page->readahead = false;
+      page->page_lock = kVmProtNone;
+      page->pin_count = 0;
+      page->hash_next = b.head;
+      b.head = page;
     }
   }
   if (page == nullptr) {
@@ -153,11 +228,10 @@ Result<VmPage*> VmSystem::PageAllocLocked(VmObject* object, VmOffset offset, boo
 }
 
 Result<VmPage*> VmSystem::ZeroFillLocked(ObjectLock& olk, VmObject* object, VmOffset offset,
-                                         bool allow_reserve) {
+                                         bool allow_reserve, VmPage** present) {
   (void)olk;
-  Result<VmPage*> np = PageAllocLocked(object, offset, allow_reserve);
+  Result<VmPage*> np = PageAllocLocked(object, offset, allow_reserve, /*zero=*/true, present);
   if (np.ok()) {
-    phys_->ZeroFrame(np.value()->frame);
     counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
   }
   return np;
@@ -175,10 +249,10 @@ void VmSystem::PageDetachLocked(VmPage* page) {
   }
   Pmap::PageProtect(phys_, page->frame, kVmProtNone);
   {
-    PageHashShard& shard = ShardFor(page->object, page->offset);
+    Bucket b = BucketFor(page->object, page->offset);
     lock_probe::Note();
-    std::lock_guard<std::mutex> g(shard.mu);
-    shard.map.erase(PageKey{page->object, page->offset});
+    std::lock_guard<std::mutex> g(b.shard.mu);
+    UnlinkFromChain(b.head, page);
   }
   page->object->pages.Remove(page);
   --page->object->resident_count;
@@ -188,8 +262,9 @@ void VmSystem::PageFreeLocked(ObjectLock& olk, VmPage* page) {
   (void)olk;
   PageDetachLocked(page);
   PageRemoveFromQueue(page);
-  phys_->FreeFrame(page->frame);
-  delete page;
+  const uint32_t frame = page->frame;
+  PoisonPage(page);
+  phys_->FreeFrame(frame);
   free_cv_.notify_all();
 }
 
@@ -211,10 +286,10 @@ void VmSystem::PagesFreeLocked(ObjectLock& olk, const std::vector<VmPage*>& page
       PageRemoveFromQueueLocked(page);
     }
   }
-  phys_->FreeFrames(frames);
   for (VmPage* page : pages) {
-    delete page;
+    PoisonPage(page);
   }
+  phys_->FreeFrames(frames);
   free_cv_.notify_all();
 }
 
@@ -359,10 +434,10 @@ void VmSystem::PageRename(VmPage* page, VmObject* new_object, VmOffset new_offse
   // Caller holds both objects' locks. The pageout scan reads a queued
   // page's identity under queue_mu_ alone, so flip it under queue_mu_ too.
   {
-    PageHashShard& shard = ShardFor(page->object, page->offset);
+    Bucket b = BucketFor(page->object, page->offset);
     lock_probe::Note();
-    std::lock_guard<std::mutex> g(shard.mu);
-    shard.map.erase(PageKey{page->object, page->offset});
+    std::lock_guard<std::mutex> g(b.shard.mu);
+    UnlinkFromChain(b.head, page);
   }
   page->object->pages.Remove(page);
   --page->object->resident_count;
@@ -373,10 +448,12 @@ void VmSystem::PageRename(VmPage* page, VmObject* new_object, VmOffset new_offse
     page->offset = new_offset;
   }
   {
-    PageHashShard& shard = ShardFor(new_object, new_offset);
+    Bucket b = BucketFor(new_object, new_offset);
     lock_probe::Note();
-    std::lock_guard<std::mutex> g(shard.mu);
-    shard.map.emplace(PageKey{new_object, new_offset}, page);
+    std::lock_guard<std::mutex> g(b.shard.mu);
+    assert(FindInChain(b.head, new_object, new_offset) == nullptr);
+    page->hash_next = b.head;
+    b.head = page;
   }
   new_object->pages.PushBack(page);
   ++new_object->resident_count;

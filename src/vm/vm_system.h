@@ -1,8 +1,11 @@
 // VmSystem: the machine-independent virtual memory system of one kernel
 // (§5). It owns:
 //
-//   * the resident page pool: the virtual-to-physical hash table (§5.3) and
-//     the active/inactive pageout queues (§5.4), over hw::PhysicalMemory;
+//   * the resident page pool over hw::PhysicalMemory: a page table with one
+//     VmPage per frame, built once (a fault allocates no memory), the
+//     object/offset hash over it (§5.3) and the active/inactive pageout
+//     queues (§5.4) — one VmSystem per PhysicalMemory, which owns every
+//     frame;
 //   * the memory object registry: pager port -> VmObject, including the
 //     cache of persisting objects (pager_cache, §3.4.1);
 //   * the fault handler (§5.5): validity/protection, page lookup,
@@ -36,8 +39,11 @@
 //   3. VmObject::mu (per object): the object's page list, page state, pager
 //      ports and paged/parked metadata. Chain order is child before its
 //      shadow parent (the fault walk direction), hand over hand.
-//   4. Page-hash shard locks (64 shards keyed by the splitmix64 PageKey
-//      hash): pure membership; always leaf with respect to object locks.
+//   4. Page-hash shard locks (64 shards keyed by the splitmix64 hash of
+//      (object, offset)): pure membership — each guards its buckets'
+//      intrusive chains (VmPage::hash_next); always leaf with respect to
+//      object locks. An anonymous first touch finds or claims its slot in
+//      one shard acquisition.
 //   5. queue_mu_: the active/inactive queues, queue counts, each page's
 //      queue field, and page identity while a PageRename is in flight.
 //      Nests inside object locks; the pageout scan, which needs the reverse
@@ -279,37 +285,28 @@ class VmSystem {
  private:
   friend class VmMapCopy;
 
-  struct PageKey {
-    const VmObject* object;
-    VmOffset offset;
-    bool operator==(const PageKey& o) const {
-      return object == o.object && offset == o.offset;
-    }
-  };
-  struct PageKeyHash {
-    size_t operator()(const PageKey& k) const {
-      // Object pointers share allocator alignment and offsets are page
-      // multiples; a full-avalanche mix keeps (object, offset) keys from
-      // clustering into a few buckets (see src/base/hash.h). The same mix
-      // selects the hash shard, so shard load stays uniform.
-      return HashPointerAndU64(k.object, k.offset);
-    }
-  };
-
   // Witness types: a ChainLock proves chain_mu_ is held, an ObjectLock
   // proves some object's mu is held. Passed by reference where a callee
   // relies on the caller's lock.
   using ChainLock = std::unique_lock<std::mutex>;
   using ObjectLock = std::unique_lock<std::mutex>;
 
-  // The resident-page hash (§5.3), sharded: each shard is an independent
-  // bucket map under its own lock, and each is padded to a cache-line
-  // multiple, so concurrent faults on distinct objects touch distinct
-  // cache lines — in the shard data and in the locks themselves.
-  static constexpr size_t kPageHashShards = 64;
+  // The resident-page hash (§5.3) over the page table: a bucket array of
+  // intrusive chains through VmPage::hash_next, sharded 64 ways. Each shard
+  // owns a contiguous run of buckets under its own lock, padded to a cache
+  // line, so concurrent faults on distinct shards touch distinct cache
+  // lines — in the chains' heads and in the locks themselves. There are
+  // about as many buckets as frames, and at least one per shard.
+  static constexpr unsigned kPageHashShardBits = 6;
+  static constexpr size_t kPageHashShards = size_t{1} << kPageHashShardBits;
   struct alignas(64) PageHashShard {
     std::mutex mu;
-    std::unordered_map<PageKey, VmPage*, PageKeyHash> map;
+  };
+  // The bucket an (object, offset) hashes to, with the shard lock that
+  // guards its chain.
+  struct Bucket {
+    PageHashShard& shard;
+    VmPage*& head;
   };
 
   // A cache-line-padded atomic counter. The systemwide counters are bumped
@@ -358,7 +355,7 @@ class VmSystem {
 
   // --- resident page management ---------------------------------------
 
-  PageHashShard& ShardFor(const VmObject* object, VmOffset offset) const;
+  Bucket BucketFor(const VmObject* object, VmOffset offset) const;
 
   // Hash probe with lookup statistics. Caller holds the owner's mu (which
   // keeps the returned page alive and its state stable).
@@ -370,26 +367,31 @@ class VmSystem {
   // Raw membership probe without statistics (coverage checks).
   bool PageResident(const VmObject* object, VmOffset offset) const;
 
-  // Allocates a frame and a resident page for (object, offset). Never
-  // blocks and never reclaims inline: on exhaustion returns
-  // kResourceShortage and pokes the daemon; the caller must drop its locks
-  // and WaitForFreeFrames. kMemoryPresent if the slot is already taken.
-  // Caller holds the owner's mu.
-  Result<VmPage*> PageAllocLocked(VmObject* object, VmOffset offset, bool allow_reserve);
+  // Allocates a frame, and with it the frame's page, for (object, offset):
+  // the check, the claim and the frame allocation are one shard
+  // acquisition, and nothing is allocated on the heap. `zero` zeroes the
+  // frame inside PhysicalMemory::AllocFrame. Never blocks and never
+  // reclaims inline: on exhaustion returns kResourceShortage and pokes the
+  // daemon; the caller must drop its locks and WaitForFreeFrames.
+  // kMemoryPresent if the slot is already taken, with the page holding it
+  // stored in `*present` when that is given. Caller holds the owner's mu.
+  Result<VmPage*> PageAllocLocked(VmObject* object, VmOffset offset, bool allow_reserve,
+                                  bool zero = false, VmPage** present = nullptr);
 
-  // Zero fill on demand (§5.5): PageAllocLocked, then the frame zeroed and
-  // counted in zero_fill_count. The one step every fault tier that finds
-  // nothing to read shares. Caller holds the owner's mu (`olk`).
+  // Zero fill on demand (§5.5): PageAllocLocked of a zeroed frame, counted
+  // in zero_fill_count. The one step every fault tier that finds nothing to
+  // read shares. Caller holds the owner's mu (`olk`).
   Result<VmPage*> ZeroFillLocked(ObjectLock& olk, VmObject* object, VmOffset offset,
-                                 bool allow_reserve);
+                                 bool allow_reserve, VmPage** present = nullptr);
 
   // Whether nothing in `object`'s chain can hold data for a missing page —
   // internal, no pager, no shadow — so a miss is a zero fill in the object
   // itself, decided under its lock alone. Caller holds the object's mu.
   static bool AnonymousLocked(const VmObject& object);
 
-  // Frees a resident page: unmaps, unhashes, unqueues, releases the frame.
-  // Caller holds the owner's mu (witnessed by `olk`).
+  // Frees a resident page: unmaps, unhashes, unqueues, and returns the page
+  // to the table with its frame. Caller holds the owner's mu (witnessed by
+  // `olk`).
   void PageFreeLocked(ObjectLock& olk, VmPage* page);
   // PageFreeLocked for many pages of one object, with one queue_mu_ and
   // one free-list acquisition for the lot.
@@ -679,8 +681,15 @@ class VmSystem {
   // comment for the full order).
   mutable std::mutex chain_mu_;
 
-  // Tier 4: the sharded resident-page hash.
+  // The resident page table: page_table_[f] is frame f's page. Its
+  // membership is the frame's allocation (PhysicalMemory's free list).
+  std::vector<VmPage> page_table_;
+
+  // Tier 4: the sharded resident-page hash. Shard s owns buckets
+  // [s << bucket_shift_, (s + 1) << bucket_shift_).
   mutable std::array<PageHashShard, kPageHashShards> page_shards_;
+  unsigned bucket_shift_ = 0;
+  mutable std::vector<VmPage*> buckets_;
 
   // Tier 5: pageout queues and page queue-membership. The alignas walls the
   // queue word group (mutex + heads + counts) off from neighbouring members

@@ -90,6 +90,19 @@ TEST(PhysicalMemoryTest, FreshFrameHasClearedBits) {
   EXPECT_FALSE(phys.IsModified(f2));
 }
 
+TEST(PhysicalMemoryTest, ZeroingAllocationClearsTheOldContents) {
+  PhysicalMemory phys(1, kPage);
+  uint32_t f = *phys.AllocFrame();
+  std::vector<uint8_t> junk(kPage, 0xC3);
+  phys.WriteFrame(f, 0, junk.data(), kPage);
+  phys.FreeFrame(f);
+  ASSERT_EQ(*phys.AllocFrame(0, /*zero=*/true), f);
+  std::vector<uint8_t> out(kPage, 0xFF);
+  phys.ReadFrame(f, 0, out.data(), kPage);
+  EXPECT_EQ(out, std::vector<uint8_t>(kPage, 0));
+  EXPECT_FALSE(phys.IsModified(f));
+}
+
 class PmapTest : public ::testing::Test {
  protected:
   PmapTest() : phys_(16, kPage), pmap_(&phys_) {}
@@ -169,6 +182,48 @@ TEST_F(PmapTest, PageProtectHitsAllPmaps) {
   EXPECT_EQ(pmap_.entry_count(), 0u);
   EXPECT_EQ(other.entry_count(), 0u);
   EXPECT_TRUE(phys_.PvList(f).empty());
+}
+
+TEST_F(PmapTest, MappingCountFollowsEveryPmapWriter) {
+  Pmap other(&phys_);
+  const uint32_t f = *phys_.AllocFrame();
+  const uint32_t g = *phys_.AllocFrame();
+  std::atomic<uint64_t> gen{4};
+  EXPECT_EQ(phys_.mapping_count(f), 0u);
+  pmap_.Enter(0x1000, f, kVmProtDefault);
+  pmap_.Enter(0x1000, f, kVmProtRead);  // Same frame: still one mapping.
+  EXPECT_EQ(phys_.mapping_count(f), 1u);
+  EXPECT_TRUE(other.EnterIf(0x3000, f, kVmProtDefault, gen, 4));
+  EXPECT_FALSE(other.EnterIf(0x4000, f, kVmProtDefault, gen, 3));  // Refused.
+  pmap_.Enter(0x2000, f, kVmProtDefault);
+  EXPECT_EQ(phys_.mapping_count(f), 3u);
+  pmap_.Enter(0x2000, g, kVmProtDefault);  // Replaced by another frame.
+  EXPECT_EQ(phys_.mapping_count(f), 2u);
+  EXPECT_EQ(phys_.mapping_count(g), 1u);
+  pmap_.Protect(0x1000, 0x2000, kVmProtRead);  // Lowered, still mapped.
+  EXPECT_EQ(phys_.mapping_count(f), 2u);
+  pmap_.Protect(0x1000, 0x3000, kVmProtNone);  // Protect to none removes.
+  EXPECT_EQ(phys_.mapping_count(f), 1u);
+  EXPECT_EQ(phys_.mapping_count(g), 0u);
+  other.Remove(0x3000, 0x4000);
+  EXPECT_EQ(phys_.mapping_count(f), 0u);
+  EXPECT_EQ(phys_.mapping_count(f), phys_.PvList(f).size());
+
+  // A mapped frame is still lowered in every pmap; an unmapped one is left
+  // as it is (there is nothing to lower).
+  pmap_.Enter(0x5000, f, kVmProtDefault);
+  other.Enter(0x6000, f, kVmProtDefault);
+  other.Enter(0x7000, f, kVmProtDefault);
+  EXPECT_EQ(phys_.mapping_count(f), 3u);
+  Pmap::PageProtect(&phys_, f, kVmProtRead);
+  EXPECT_EQ(*pmap_.ProtectionOf(0x5000), kVmProtRead);
+  EXPECT_EQ(*other.ProtectionOf(0x6000), kVmProtRead);
+  EXPECT_EQ(*other.ProtectionOf(0x7000), kVmProtRead);
+  Pmap::PageProtect(&phys_, f, kVmProtNone);
+  EXPECT_EQ(phys_.mapping_count(f), 0u);
+  EXPECT_EQ(pmap_.entry_count() + other.entry_count(), 0u);
+  Pmap::PageProtect(&phys_, g, kVmProtNone);
+  EXPECT_EQ(phys_.mapping_count(g), 0u);
 }
 
 TEST_F(PmapTest, ReplacingMappingUpdatesPvList) {

@@ -679,5 +679,47 @@ TEST(VmConcurrentTest, KernelTeardownRacesManagerProvides) {
   pager.Stop();
 }
 
+TEST(VmConcurrentTest, PageProtectNeverReachesADeadTasksPmap) {
+  // A manager's pager_data_lock lowers every mapping of a page: it copies
+  // the frame's pv list under the frame lock and lowers each listed pmap
+  // after dropping it. A task mapping the page can die in that gap — its
+  // vm_deallocate withdraws the mapping, then ~Pmap frees the pmap — while
+  // another task's mapping keeps the object, so no termination waits on
+  // the object lock. The walk must never reach the freed pmap (under ASan
+  // it would be reported as a heap use-after-free).
+  auto kernel = MakeKernel(64);
+  PassivePager pager;
+  pager.Start();
+  SendRight object = pager.NewObject();
+  auto keeper = kernel->CreateTask(nullptr, "keeper");
+  VmOffset kept = keeper->VmAllocateWithPager(kPage, object, 0).value();
+  SendRight request = pager.WaitForRequestPort();
+  ASSERT_TRUE(request.valid());
+  std::vector<std::byte> data(kPage, std::byte{0x33});
+  ASSERT_EQ(DataManager::ProvideData(request, 0, data, kVmProtNone), KernReturn::kSuccess);
+  ASSERT_EQ(keeper->ReadValue<uint8_t>(kept).value(), 0x33);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> locks{0};
+  std::thread manager([&] {
+    while (!stop.load()) {
+      DataManager::LockData(request, 0, kPage, kVmProtWrite);
+      DataManager::LockData(request, 0, kPage, kVmProtNone);
+      locks.fetch_add(2);
+    }
+  });
+  for (int round = 0; round < 30000; ++round) {
+    auto task = kernel->CreateTask(nullptr, "mortal");
+    VmOffset addr = task->VmAllocateWithPager(kPage, object, 0).value();
+    ASSERT_EQ(task->ReadValue<uint8_t>(addr).value(), 0x33) << "round " << round;
+  }
+  stop.store(true);
+  manager.join();
+  EXPECT_GT(locks.load(), 0);
+  EXPECT_EQ(keeper->ReadValue<uint8_t>(kept).value(), 0x33);
+  keeper.reset();
+  pager.Stop();
+}
+
 }  // namespace
 }  // namespace mach

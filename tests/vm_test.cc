@@ -1004,6 +1004,245 @@ TEST_F(VmOpsTest, FirstTouchRacingDeallocateReturnsEveryFrame) {
   EXPECT_EQ(task_->VmStats().free_count, baseline);
 }
 
+// --- the resident page table ------------------------------------------------
+
+// An anonymous first touch through the optimistic tier finds or claims its
+// hash slot in one shard acquisition: object lock, shard, page-queue lock.
+TEST_F(VmOpsTest, AnonymousFirstTouchTakesOneShardAcquisition) {
+  constexpr int kPages = 8;
+  VmOffset addr = task_->VmAllocate(kPages * kPage).value();
+  // Page 0 creates the object and publishes the map snapshot on the locked
+  // path; every later page takes the optimistic tier.
+  ASSERT_EQ(task_->WriteValue<uint32_t>(addr, 100), KernReturn::kSuccess);
+  for (int p = 1; p < kPages; ++p) {
+    VmStatistics before = task_->VmStats();
+    ASSERT_EQ(task_->WriteValue<uint32_t>(addr + p * kPage, 100 + p), KernReturn::kSuccess);
+    VmStatistics after = task_->VmStats();
+    EXPECT_EQ(after.faults - before.faults, 1u) << "page " << p;
+    EXPECT_EQ(after.map_lookups_optimistic - before.map_lookups_optimistic, 1u) << "page " << p;
+    EXPECT_EQ(after.zero_fill_count - before.zero_fill_count, 1u) << "page " << p;
+    EXPECT_EQ(after.fault_lock_ops - before.fault_lock_ops, 3u) << "page " << p;
+  }
+  // A resident re-fault finds its page in that same one acquisition and
+  // zero-fills nothing.
+  task_->vm_context().pmap->Remove(addr, addr + kPages * kPage);
+  VmStatistics before = task_->VmStats();
+  for (int p = 0; p < kPages; ++p) {
+    EXPECT_EQ(task_->ReadValue<uint32_t>(addr + p * kPage).value(), uint32_t(100 + p));
+  }
+  VmStatistics after = task_->VmStats();
+  EXPECT_EQ(after.faults - before.faults, uint64_t{kPages});
+  EXPECT_EQ(after.zero_fill_count, before.zero_fill_count);
+}
+
+// Two threads first-touch the same anonymous page: one claims the slot and
+// zero-fills it, the other finds it claimed and uses that page.
+TEST_F(VmOpsTest, RacingFirstTouchesZeroFillOnce) {
+  for (int round = 0; round < 100; ++round) {
+    VmOffset addr = task_->VmAllocate(2 * kPage).value();
+    ASSERT_EQ(task_->WriteValue<uint32_t>(addr, 1), KernReturn::kSuccess);
+    const VmOffset page = addr + kPage;
+    VmStatistics before = task_->VmStats();
+    std::atomic<int> ready{0};
+    std::atomic<int> bad{0};
+    auto touch = [&](uint32_t word) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      if (task_->WriteValue<uint32_t>(page + word * 8, word) != KernReturn::kSuccess) {
+        bad.fetch_add(1);
+      }
+    };
+    std::thread a(touch, 1);
+    std::thread b(touch, 2);
+    a.join();
+    b.join();
+    ASSERT_EQ(bad.load(), 0) << "round " << round;
+    VmStatistics after = task_->VmStats();
+    ASSERT_EQ(after.zero_fill_count - before.zero_fill_count, 1u) << "round " << round;
+    EXPECT_EQ(task_->ReadValue<uint32_t>(page + 8).value(), 1u);
+    EXPECT_EQ(task_->ReadValue<uint32_t>(page + 16).value(), 2u);
+    EXPECT_EQ(task_->ReadValue<uint32_t>(page).value(), 0u);
+    ASSERT_EQ(task_->VmDeallocate(addr, 2 * kPage), KernReturn::kSuccess);
+  }
+}
+
+// Answers every pager_data_request as told: with data the manager keeps
+// write-locked, with pager_data_unavailable, with the run's first page
+// only, or by dying (dropping its memory-object port unanswered).
+class ScriptedPager : public DataManager {
+ public:
+  enum class Answer { kLockedData, kUnavailable, kFirstPageOnly, kDie };
+  static constexpr uint8_t kFill = 0x6B;
+
+  ScriptedPager() : DataManager("scripted") {}
+  SendRight NewObject() {
+    object_ = CreateMemoryObject(1);
+    return object_;
+  }
+
+  std::atomic<Answer> answer{Answer::kLockedData};
+
+ protected:
+  void OnDataRequest(uint64_t, uint64_t, PagerDataRequestArgs args) override {
+    switch (answer.load()) {
+      case Answer::kLockedData:
+        ProvideData(args.pager_request_port, args.offset,
+                    std::vector<std::byte>(args.length, std::byte{kFill}), kVmProtWrite);
+        break;
+      case Answer::kUnavailable:
+        DataUnavailable(args.pager_request_port, args.offset, args.length);
+        break;
+      case Answer::kFirstPageOnly:
+        ProvideData(args.pager_request_port, args.offset,
+                    std::vector<std::byte>(kPage, std::byte{kFill}), kVmProtNone);
+        break;
+      case Answer::kDie:
+        DestroyMemoryObject(object_);
+        break;
+    }
+  }
+
+ private:
+  SendRight object_;
+};
+
+// A frame's page is reused, not reallocated: nothing of its last use may
+// leak into the next. Pages freed while carrying a manager lock, readahead,
+// pager_data_unavailable, dirt, an error, or busy in transit (each pinned
+// while its fault waited) give their frames to anonymous first touches,
+// which must each read zeros, write at once (no lock, not busy) and count
+// one zero fill.
+TEST(PageTableTest, ReusedFramesStartClean) {
+  Kernel::Config config;
+  config.frames = 32;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  config.vm.fault_ahead_max = 4;
+  config.vm.pager_timeout = std::chrono::milliseconds(2000);
+  config.vm.on_pager_timeout = VmSystem::Config::OnPagerTimeout::kError;
+  Kernel kernel(config);
+  auto task = kernel.CreateTask();
+  Pmap& pmap = *task->vm_context().pmap;
+  const uint64_t baseline = kernel.phys().free_frames();
+  ScriptedPager locker;
+  ScriptedPager dier;
+  locker.Start();
+  dier.Start();
+  VmOffset a = task->VmAllocateWithPager(16 * kPage, locker.NewObject(), 0).value();
+  VmOffset b = task->VmAllocateWithPager(16 * kPage, dier.NewObject(), 0).value();
+  uint8_t byte = 0;
+  // a: pages 0 and 1 arrive write-locked; page 1's miss also brings page 2
+  // as readahead nobody touches.
+  ASSERT_EQ(task->Read(a, &byte, 1), KernReturn::kSuccess);
+  ASSERT_EQ(task->Read(a + kPage, &byte, 1), KernReturn::kSuccess);
+  EXPECT_EQ(byte, ScriptedPager::kFill);
+  // a: page 3's miss asks for 3-6 and the manager has none of it. Page 3 is
+  // zero-filled and then dirtied; 4-6 stay unavailable readahead.
+  locker.answer = ScriptedPager::Answer::kUnavailable;
+  ASSERT_EQ(task->Read(a + 3 * kPage, &byte, 1), KernReturn::kSuccess);
+  EXPECT_EQ(byte, 0);
+  ASSERT_EQ(task->WriteValue<uint64_t>(a + 3 * kPage, 0xD1), KernReturn::kSuccess);
+  // b: page 1's miss asks for 1-2 and the manager dies on it: both pinned
+  // placeholders settle as errors.
+  ASSERT_EQ(task->Read(b, &byte, 1), KernReturn::kSuccess);
+  dier.answer = ScriptedPager::Answer::kDie;
+  EXPECT_NE(task->Read(b + kPage, &byte, 1), KernReturn::kSuccess);
+  // a: page 7's miss asks for 7-10 and gets page 7 alone: the sweep frees
+  // 8-10 still busy and absent.
+  locker.answer = ScriptedPager::Answer::kFirstPageOnly;
+  ASSERT_EQ(task->Read(a + 7 * kPage, &byte, 1), KernReturn::kSuccess);
+  VmStatistics st = kernel.vm().Statistics();
+  EXPECT_EQ(st.fault_ahead_pages, 1u + 3u + 1u + 3u);
+  EXPECT_EQ(st.fault_ahead_unused, 3u);
+  EXPECT_EQ(st.death_resolved_pages, 2u);
+
+  std::vector<uint32_t> mapped_frames;
+  for (VmOffset addr : {a, a + kPage, a + 3 * kPage, a + 7 * kPage, b}) {
+    std::optional<uint32_t> frame = pmap.Translate(addr, kVmProtRead);
+    ASSERT_TRUE(frame.has_value());
+    mapped_frames.push_back(*frame);
+  }
+  const uint64_t in_use = baseline - kernel.phys().free_frames();
+  ASSERT_EQ(in_use, 11u);
+  ASSERT_EQ(task->VmDeallocate(a, 16 * kPage), KernReturn::kSuccess);
+  ASSERT_EQ(task->VmDeallocate(b, 16 * kPage), KernReturn::kSuccess);
+  ASSERT_EQ(kernel.phys().free_frames(), baseline);
+
+  // Frames go back on top of the free list, so the next 14 zero fills get
+  // exactly the 11 frames just freed and the 3 the sweep freed before them.
+  const VmSize reuse = in_use + 3;
+  VmOffset c = task->VmAllocate(reuse * kPage).value();
+  std::vector<uint32_t> reused;
+  for (VmOffset p = 0; p < reuse; ++p) {
+    const VmOffset page = c + p * kPage;
+    VmStatistics before = kernel.vm().Statistics();
+    if (p % 2 == 0) {
+      ASSERT_EQ(task->WriteValue<uint64_t>(page + 64, 0xF00D + p), KernReturn::kSuccess);
+    } else {
+      ASSERT_EQ(task->ReadValue<uint64_t>(page + 64).value(), 0u);
+      ASSERT_EQ(task->WriteValue<uint64_t>(page + 64, 0xF00D + p), KernReturn::kSuccess);
+    }
+    VmStatistics after = kernel.vm().Statistics();
+    EXPECT_EQ(after.zero_fill_count - before.zero_fill_count, 1u) << "page " << p;
+    std::vector<uint8_t> expect(kPage, 0);
+    const uint64_t word = 0xF00D + p;
+    std::memcpy(expect.data() + 64, &word, sizeof(word));
+    std::vector<uint8_t> data(kPage, 0xFF);
+    ASSERT_EQ(task->Read(page, data.data(), kPage), KernReturn::kSuccess);
+    EXPECT_EQ(data, expect) << "page " << p;
+    reused.push_back(*pmap.Translate(page, kVmProtWrite));
+  }
+  for (uint32_t frame : mapped_frames) {
+    EXPECT_NE(std::find(reused.begin(), reused.end(), frame), reused.end()) << "frame " << frame;
+  }
+  ASSERT_EQ(task->VmDeallocate(c, reuse * kPage), KernReturn::kSuccess);
+  EXPECT_EQ(kernel.phys().free_frames(), baseline);
+  task.reset();
+  locker.Stop();
+  dier.Stop();
+}
+
+// The smallest table: 64 frames give 64 buckets, one per hash shard, so
+// pages share chains. Forks, copy-on-write writes, collapses (which re-key
+// pages through PageRename) and teardown must keep every chain intact.
+TEST(PageTableTest, ChainedBucketsSurviveForkWriteCollapseAndTeardown) {
+  Kernel::Config config;
+  config.frames = 64;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  Kernel kernel(config);
+  const uint64_t baseline = kernel.phys().free_frames();
+  constexpr int kPages = 12;
+  std::mt19937 rng(4242);
+  std::vector<uint64_t> model(kPages, 0);
+  {
+    auto task = kernel.CreateTask(nullptr, "gen0");
+    VmOffset base = task->VmAllocate(kPages * kPage).value();
+    for (int gen = 1; gen <= 10; ++gen) {
+      for (int w = 0; w < 6; ++w) {
+        const int p = static_cast<int>(rng() % kPages);
+        const uint64_t v = (uint64_t(gen) << 32) | (uint64_t(p) << 8) | uint64_t(w);
+        ASSERT_EQ(task->WriteValue<uint64_t>(base + p * kPage, v), KernReturn::kSuccess);
+        model[p] = v;
+      }
+      // The child inherits a copy; the parent dies, leaving its pages for
+      // the collapse to migrate into the child's object.
+      auto child = kernel.CreateTask(task, "gen");
+      task = child;
+      for (int p = 0; p < kPages; ++p) {
+        ASSERT_EQ(task->ReadValue<uint64_t>(base + p * kPage).value(), model[p])
+            << "generation " << gen << " page " << p;
+      }
+    }
+    EXPECT_EQ(kernel.vm().ShadowChainLength(task->vm_context(), base), 1u);
+  }
+  VmStatistics st = kernel.vm().Statistics();
+  EXPECT_GT(st.shadow_collapses, 0u);
+  EXPECT_GT(st.pages_migrated, 0u);
+  EXPECT_EQ(kernel.phys().free_frames(), baseline);
+}
+
 // --- clustered pageout -------------------------------------------------------
 
 // Records every pager_data_write's (offset, length) so tests can assert the
