@@ -117,9 +117,10 @@ void BM_ResidentFaultCall(benchmark::State& state) {
 }
 
 // Zero-fill first fault (allocate + zero + map), same toggle, for scale:
-// both arms fill an anonymous page in one pass under its object lock — the
-// optimistic tier with the toggle on, the locked path's phase-1 fast path
-// with it off — so they differ only by the shared map lock.
+// both arms fill an anonymous page in one pass through the one fast step,
+// under its object lock and in one hash-shard acquisition — reached from the
+// optimistic tier with the toggle on and from the locked path with it off —
+// so they differ only by the shared map lock.
 void BM_ZeroFillFault(benchmark::State& state) {
   const bool optimistic = state.range(0) != 0;
   auto kernel = MakeKernel(4096 + 256, optimistic);

@@ -8,6 +8,8 @@
 #                      # placeholder sweeps must be leak-clean)
 #   ./ci.sh asan       # tier-1 under ASan+UBSan (-DMACH_SANITIZE=address)
 #   ./ci.sh tsan       # VM/IPC concurrency suites under ThreadSanitizer
+#   ./ci.sh perfbench  # benchmark smoke: every BENCHMARK.json workload for
+#                      # 2 s, traced, seed 1; fails unless each checks out
 #   ./ci.sh all        # all of the above, sequentially
 #   ./ci.sh bench [name...]  # run benchmark binaries, JSON into BENCH_<name>.json
 #                            # (all of bench/ by default; names drop the bench_ prefix)
@@ -82,10 +84,28 @@ case "$mode" in
       shm_property_test camelot_test net_test fs_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R "$tsan_suites"
     ;;
+  perfbench)
+    # Tier-1 never compiles perfbench/, so a renamed name it uses, or a
+    # workload that stops checking out, would otherwise surface only in the
+    # benchmark itself. run.py builds its own Release tree (.bench_build/)
+    # and prints its JSON result as the last line.
+    workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+    for w in $workloads; do
+      echo "=== perfbench $w"
+      out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 1)
+      grep '^# every cycle repeated exactly' <<<"$out" || true
+      tail -n 1 <<<"$out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+print("correct", r["correct"], "attempted", r["attempted"], "failed", r["failed"])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+    done
+    ;;
   all)
     "$0" tier1
     "$0" asan
     "$0" tsan
+    "$0" perfbench
     ;;
   bench)
     # Machine-readable perf lane: every google-benchmark binary emits JSON
@@ -132,7 +152,7 @@ case "$mode" in
     done
     ;;
   *)
-    echo "usage: $0 [tier1|asan|tsan|all|bench [name...]]" >&2
+    echo "usage: $0 [tier1|asan|tsan|perfbench|all|bench [name...]]" >&2
     exit 2
     ;;
 esac

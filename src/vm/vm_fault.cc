@@ -36,6 +36,11 @@ struct LockOpScope {
   std::atomic<uint64_t>& target_;
   uint64_t entry_;
 };
+
+// A page walk that ends without a verdict and starts over from the top
+// object: the state moved under it (a wake, a settled placeholder), or an
+// allocation found its slot taken — PageAllocLocked's kMemoryPresent.
+constexpr KernReturn kRescan = KernReturn::kMemoryPresent;
 }  // namespace
 
 // --- entry resolution -------------------------------------------------------
@@ -211,16 +216,7 @@ KernReturn VmSystem::RequestDataFromPager(ObjectLock& olk,
   args.offset = offset;
   args.length = length;
   args.desired_access = access;
-  Message msg = EncodePagerDataRequest(args);
-  SendRight pager = object->pager;
-  // A manager whose queue stays full for the whole fault-wait budget is an
-  // unresponsive manager (§6.1): bound the send by the same policy timeout.
-  Timeout send_timeout = std::chrono::milliseconds(2000);
-  if (config_.pager_timeout.has_value() && *config_.pager_timeout < *send_timeout) {
-    send_timeout = config_.pager_timeout;
-  }
-  ScopedUnlock unlock(olk);
-  return MsgSend(pager, std::move(msg), send_timeout);
+  return SendToPagerLocked(olk, object, EncodePagerDataRequest(args));
 }
 
 KernReturn VmSystem::RequestUnlockFromPager(ObjectLock& olk,
@@ -236,10 +232,30 @@ KernReturn VmSystem::RequestUnlockFromPager(ObjectLock& olk,
   args.offset = page->offset;
   args.length = page_size();
   args.desired_access = access;
-  Message msg = EncodePagerDataUnlock(args);
+  return SendToPagerLocked(olk, object, EncodePagerDataUnlock(args));
+}
+
+KernReturn VmSystem::SendToPagerLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                                       Message msg) {
+  Timeout bound = std::chrono::milliseconds(2000);
+  if (config_.pager_timeout.has_value() && *config_.pager_timeout < *bound) {
+    bound = config_.pager_timeout;
+  }
   SendRight pager = object->pager;
   ScopedUnlock unlock(olk);
-  return MsgSend(pager, std::move(msg), std::chrono::milliseconds(2000));
+  return MsgSend(pager, std::move(msg), bound);
+}
+
+void VmSystem::SettleZeroFillLocked(ObjectLock& olk, VmPage* page) {
+  (void)olk;
+  phys_->ZeroFrame(page->frame);
+  phys_->ClearModify(page->frame);
+  phys_->ClearReference(page->frame);
+  page->busy = false;
+  page->absent = false;
+  page->unavailable = false;
+  page->dirty = true;  // No backing copy of the zeroes exists.
+  counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 // --- the page walk ----------------------------------------------------------
@@ -253,18 +269,23 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
   if (config_.pager_timeout.has_value()) {
     deadline = SteadyClock::now() + *config_.pager_timeout;
   }
+  const bool zero_fill_policy = config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill;
 
   bool first_probe = true;
   int shortage_rounds = 0;
   for (;;) {  // Each iteration is one full rescan from the top object.
+    // Why a scan ends without a verdict: kRescan starts over from the top,
+    // kResourceShortage waits for frames first. PageAllocLocked's two
+    // failures (slot taken, no frame) are exactly these, so an allocation
+    // that fails just hands its status on.
+    KernReturn retry = KernReturn::kSuccess;
+    const bool allow_reserve = shortage_rounds >= 100;
     std::shared_ptr<VmObject> object = first_object;
     VmOffset offset = first_offset;
     uint64_t depth = 1;
     lock_probe::Note();
     ObjectLock olk(object->mu);
-    bool rescan = false;
-    bool need_frames = false;
-    while (!rescan && !need_frames) {
+    while (retry == KernReturn::kSuccess) {
       // Invariant here: olk holds object->mu.
       VmPage* page = PageLookup(object.get(), offset);
       if (page != nullptr) {
@@ -281,7 +302,7 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
           if (VmPage* p2 = PageLookup(object.get(), offset); p2 != nullptr && p2->busy) {
             counters_.spurious_page_wakeups.fetch_add(1, std::memory_order_relaxed);
           }
-          rescan = true;
+          retry = kRescan;
           continue;
         }
         if (page->error) {
@@ -345,7 +366,7 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
                             : SteadyClock::now() >= deadline) {
               return KernReturn::kMemoryFailure;
             }
-            rescan = true;
+            retry = kRescan;
             continue;
           }
           if (first_probe) {
@@ -366,23 +387,19 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
           olk.unlock();
           lock_probe::Note();
           ObjectLock top_lk(first_object->mu);
-          Result<VmPage*> np =
-              PageAllocLocked(first_object.get(), first_offset, shortage_rounds >= 100);
+          Result<VmPage*> np = PageAllocLocked(first_object.get(), first_offset, allow_reserve);
           if (!np.ok()) {
             top_lk.unlock();
             UnpinRaw(backing_owner, page);
-            if (np.status() == KernReturn::kMemoryPresent) {
-              rescan = true;  // Another thread won the slot; use its page.
-            } else {
-              need_frames = true;
-            }
-            lock_probe::Note();
-            olk = ObjectLock(first_object->mu);  // Re-establish the invariant.
-            object = first_object;
-            offset = first_offset;
+            retry = np.status();  // Slot taken (rescan, use that page) or no frame.
             continue;
           }
           phys_->CopyFrame(page->frame, np.value()->frame);
+          // A mapping of the original cannot tell whether it serves this
+          // chain, which now has its own copy, or another one: drop them
+          // all, as Mach's vm_fault does after a copy. The other chains
+          // re-fault onto the original; this one installs the copy.
+          Pmap::PageProtect(phys_, page->frame, kVmProtNone);
           np.value()->dirty = true;
           counters_.cow_faults.fetch_add(1, std::memory_order_relaxed);
           PagePin pin = MakePinLocked(top_lk, first_object, np.value(), /*from_backing=*/false);
@@ -403,55 +420,39 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
           std::optional<std::vector<std::byte>> data = parking_->Unpark(object->id(), offset);
           object->parked_offsets.erase(parked);
           if (data.has_value()) {
-            Result<VmPage*> np =
-                PageAllocLocked(object.get(), offset, shortage_rounds >= 100);
+            Result<VmPage*> np = PageAllocLocked(object.get(), offset, allow_reserve);
             if (!np.ok()) {
               // Keep the unparked bytes safe either way.
               object->parked_offsets[offset] = true;
               parking_->Park(object->id(), offset, std::move(*data));
-              if (np.status() == KernReturn::kMemoryPresent) {
-                rescan = true;
-              } else {
-                need_frames = true;
-              }
+              retry = np.status();
               continue;
             }
             VmSize n = std::min<VmSize>(data->size(), page_size());
             phys_->WriteFrame(np.value()->frame, 0, data->data(), n);
             np.value()->dirty = true;  // Never reached its manager.
             object->cv.notify_all();
-            rescan = true;  // Rescan finds it resident.
+            retry = kRescan;  // Rescan finds it resident.
             continue;
           }
         }
         if (object->pager.IsDead()) {
           // Destruction of a memory object by the data manager aborts
           // requests in progress (§6.2.1).
-          if (config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill) {
-            Result<VmPage*> np =
-                ZeroFillLocked(olk, object.get(), offset, shortage_rounds >= 100);
-            if (!np.ok()) {
-              if (np.status() == KernReturn::kMemoryPresent) {
-                rescan = true;
-              } else {
-                need_frames = true;
-              }
-              continue;
-            }
-            object->cv.notify_all();
-            rescan = true;
-            continue;
+          if (!zero_fill_policy) {
+            return KernReturn::kMemoryFailure;
           }
-          return KernReturn::kMemoryFailure;
+          Result<VmPage*> np = ZeroFillLocked(olk, object.get(), offset, allow_reserve);
+          if (np.ok()) {
+            object->cv.notify_all();
+          }
+          retry = np.ok() ? kRescan : np.status();
+          continue;
         }
         // Cache miss: allocate a placeholder and issue pager_data_request.
-        Result<VmPage*> np = PageAllocLocked(object.get(), offset, shortage_rounds >= 100);
+        Result<VmPage*> np = PageAllocLocked(object.get(), offset, allow_reserve);
         if (!np.ok()) {
-          if (np.status() == KernReturn::kMemoryPresent) {
-            rescan = true;
-          } else {
-            need_frames = true;
-          }
+          retry = np.status();
           continue;
         }
         VmPage* placeholder = np.value();
@@ -497,124 +498,59 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
                                                   std::memory_order_relaxed);
           }
         }
-        // Releases the run's speculative placeholders on every exit from
-        // the request-and-wait window (olk held). We own each extra's busy
-        // bit, so one still busy+absent was never answered — the partial-
-        // provide remainder — and is freed; a later demand fault re-issues
-        // the request and the OnPagerTimeout policy applies there (a
-        // speculative page is never zero-filled or errored in place: that
-        // would fabricate a verdict no thread asked for). Settled extras
-        // stay resident and just lose the pin; if the object died,
-        // TerminateObject orphaned the pinned pages to us, the last holder.
-        auto sweep_extras = [&]() {
-          bool freed = false;
-          for (VmPage* extra : extras) {
-            assert(extra->pin_count > 0);
-            --extra->pin_count;
-            if (!object->alive) {
-              if (extra->pin_count == 0) {
-                PageFreeLocked(olk, extra);
-              }
-            } else if (extra->busy && extra->absent) {
-              PageFreeLocked(olk, extra);
-              freed = true;
-            }
-          }
-          extras.clear();
-          if (freed) {
-            object->cv.notify_all();
-          }
-        };
         KernReturn kr = RequestDataFromPager(
             olk, object, offset,
             VmSize{1 + extras.size()} * page_size(), fault_type);
         // The object lock was dropped during the send. We still own the
         // placeholder (handlers settle busy+absent pages without freeing,
-        // and the pin keeps every sweeper away), but the object may have
-        // died — then TerminateObject orphaned the pinned page for us, its
-        // last holder, to free.
-        if (!object->alive) {
-          sweep_extras();
-          --placeholder->pin_count;
-          PageFreeLocked(olk, placeholder);
-          object->cv.notify_all();
-          return KernReturn::kMemoryFailure;
-        }
-        if (!placeholder->absent || placeholder->error || placeholder->unavailable) {
-          sweep_extras();
-          --placeholder->pin_count;
-          object->cv.notify_all();
-          rescan = true;  // Data (or a verdict) arrived already.
-          continue;
-        }
-        if (!IsOk(kr)) {
-          // The request never reached the manager: nothing will answer the
-          // run. Release every speculative placeholder before settling the
-          // faulting page itself per policy.
-          sweep_extras();
-          if (config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill) {
-            // Treat an unreachable manager per the timeout policy: settle
-            // our own placeholder as zero fill in place.
-            phys_->ZeroFrame(placeholder->frame);
-            placeholder->busy = false;
-            placeholder->absent = false;
-            placeholder->dirty = true;  // Not backed by the manager.
-            --placeholder->pin_count;
-            counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
-            object->cv.notify_all();
-            rescan = true;
-            continue;
-          }
-          --placeholder->pin_count;
-          PageFreeLocked(olk, placeholder);
-          object->cv.notify_all();
-          return KernReturn::kMemoryFailure;
-        }
-        // Wait for pager_data_provided / pager_data_unavailable. The pin
-        // keeps the pointer valid while the object lives; the object's
-        // death is the one exit we must handle.
-        for (;;) {
-          if (!object->alive) {
-            sweep_extras();
-            --placeholder->pin_count;
-            PageFreeLocked(olk, placeholder);
-            object->cv.notify_all();
-            return KernReturn::kMemoryFailure;
-          }
-          if (!placeholder->absent || placeholder->unavailable || placeholder->error) {
+        // and the pin keeps every sweeper away). Wait for
+        // pager_data_provided / pager_data_unavailable — the pin keeps the
+        // pointer valid while the object lives — until the object dies
+        // (TerminateObject then orphaned the pinned page to us, its last
+        // holder) or the data will never come: the request never reached
+        // the manager, or the wait timed out (§6.2.1).
+        const auto unsettled = [&] {
+          return placeholder->absent && !placeholder->unavailable && !placeholder->error;
+        };
+        bool abandoned = false;
+        while (object->alive && unsettled()) {
+          if (!IsOk(kr) || !WaitForPage(olk, object.get(), deadline)) {
+            abandoned = true;
             break;
           }
-          if (!WaitForPage(olk, object.get(), deadline)) {
-            // §6.2.1: a timeout may abort the memory request. Either fail
-            // the fault or substitute zero-filled memory.
-            if (config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill) {
-              phys_->ZeroFrame(placeholder->frame);
-              placeholder->busy = false;
-              placeholder->absent = false;
-              placeholder->dirty = true;  // Not backed by the manager.
-              counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
-              object->cv.notify_all();
-              break;
-            }
-            sweep_extras();
-            --placeholder->pin_count;
-            PageFreeLocked(olk, placeholder);
-            object->cv.notify_all();
-            return KernReturn::kMemoryFailure;
-          }
-          if (placeholder->absent && !placeholder->unavailable && !placeholder->error) {
+          if (unsettled()) {
             counters_.spurious_page_wakeups.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        // Reached on the primary's settlement (a multi-page provide settled
-        // every page it covered under one handler lock acquisition before
-        // we could observe it) and on the zero-fill timeout: either way,
-        // speculative placeholders still unanswered are released here —
-        // the partial-provide prefix rule.
-        sweep_extras();
+        // Every exit releases the run's speculative placeholders. We own
+        // each extra's busy bit, so one still busy+absent was never
+        // answered — the partial-provide remainder (a multi-page provide
+        // settles every page it covers under one handler lock acquisition)
+        // — and is freed; a later demand fault re-issues the request and
+        // the OnPagerTimeout policy applies there (a speculative page is
+        // never zero-filled or errored in place: that would fabricate a
+        // verdict no thread asked for). Settled extras stay resident and
+        // just lose the pin; if the object died, TerminateObject orphaned
+        // the pinned pages to us, the last holder.
+        for (VmPage* extra : extras) {
+          assert(extra->pin_count > 0);
+          --extra->pin_count;
+          if (object->alive ? extra->busy && extra->absent : extra->pin_count == 0) {
+            PageFreeLocked(olk, extra);
+          }
+        }
         --placeholder->pin_count;
+        if (!object->alive || (abandoned && !zero_fill_policy)) {
+          PageFreeLocked(olk, placeholder);
+          object->cv.notify_all();
+          return KernReturn::kMemoryFailure;
+        }
+        if (abandoned) {
+          // Substitute zero-filled memory for the data that never came.
+          SettleZeroFillLocked(olk, placeholder);
+        }
         object->cv.notify_all();
-        rescan = true;
+        retry = kRescan;  // Data, a verdict or the zero fill is in place.
         continue;
       }
       if (object->shadow != nullptr) {
@@ -651,34 +587,29 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
         continue;
       }
       // Nothing anywhere in the chain: zero-fill in the *top* object so the
-      // page is private to this mapping chain.
+      // page is private to this mapping chain. A page that appeared there
+      // while we walked takes the slot first (kMemoryPresent: rescan and
+      // use it).
       if (object != first_object) {
         olk.unlock();
         lock_probe::Note();
         olk = ObjectLock(first_object->mu);
         object = first_object;
         offset = first_offset;
-        if (PageLookup(object.get(), offset) != nullptr) {
-          rescan = true;  // A page appeared while we walked; use it.
-          continue;
-        }
       }
-      Result<VmPage*> np =
-          ZeroFillLocked(olk, first_object.get(), first_offset, shortage_rounds >= 100);
+      Result<VmPage*> np = ZeroFillLocked(olk, first_object.get(), first_offset, allow_reserve);
       if (!np.ok()) {
-        if (np.status() == KernReturn::kMemoryPresent) {
-          rescan = true;
-        } else {
-          need_frames = true;
-        }
+        retry = np.status();
         continue;
       }
       first_object->cv.notify_all();
       return MakePinLocked(olk, first_object, np.value(), /*from_backing=*/false);
     }
-    olk.unlock();
+    if (olk.owns_lock()) {
+      olk.unlock();  // A failed copy-on-write push has dropped it already.
+    }
     first_probe = false;
-    if (need_frames) {
+    if (retry == KernReturn::kResourceShortage) {
       // Frame shortage below the reserved floor: with every lock dropped,
       // help reclaim and retry. After enough rounds dip into the reserve
       // (§6.2.3) so the fault that *frees* memory can always complete.
@@ -691,6 +622,68 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
 }
 
 // --- the fault entry point --------------------------------------------------
+
+VmSystem::FastStep VmSystem::FastFault(TaskVm& task, VmOffset page_addr, VmProt access,
+                                       VmProt prot, VmObject* object, VmOffset object_offset,
+                                       bool may_zero_fill, uint64_t gen) {
+  // The object lock keeps the page and its frame stable across the install
+  // (map → object → queues → pmap is the documented order), so the fast step
+  // needs no pin. A caller's map lock or snapshot keeps `object` in memory;
+  // its `alive` flag is checked here, under its lock.
+  lock_probe::Note();
+  ObjectLock olk(object->mu);
+  if (!object->alive) {
+    return FastStep::kDeclined;
+  }
+  VmPage* page = nullptr;
+  bool zero_fill = false;
+  if (may_zero_fill && AnonymousLocked(*object)) {
+    // Anonymous memory: nothing in the chain can hold data, so the page walk
+    // would zero-fill a missing page in this very slot. Claim it here, in
+    // the same shard acquisition that finds a page already resident there.
+    // A frame shortage is the page walk's work (it waits for the pageout
+    // daemon).
+    Result<VmPage*> np =
+        ZeroFillLocked(olk, object, object_offset, /*allow_reserve=*/false, &page);
+    zero_fill = np.ok();
+    if (zero_fill) {
+      page = np.value();
+    }
+  } else {
+    page = PageLookupRaw(object, object_offset);
+  }
+  if (page == nullptr) {
+    return FastStep::kMissing;
+  }
+  if (page->busy || page->absent || page->unavailable || page->error) {
+    return FastStep::kDeclined;  // Unsettled pages are the page walk's work.
+  }
+  // First demand touch of a readahead page: recorded under the object lock,
+  // the one lock the flag is guarded by.
+  page->readahead = false;
+  prot &= ~page->page_lock;
+  if ((access & ~prot) != 0) {
+    return FastStep::kDeclined;
+  }
+  // Install with the generation validated inside the pmap lock (see
+  // Pmap::EnterIf for why that closes the stale-install race).
+  const bool installed =
+      task.pmap->EnterIf(page_addr, page->frame, prot, task.map->generation_word(), gen);
+  if (installed || zero_fill) {
+    // A refused install leaves a fresh page resident, settled and queued;
+    // the locked path finds it there.
+    PageActivate(page);
+  }
+  if (!installed) {
+    counters_.map_lookup_retries.fetch_add(1, std::memory_order_relaxed);
+    return FastStep::kDeclined;
+  }
+  if (!zero_fill) {
+    counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
+  }
+  counters_.faults.fetch_add(1, std::memory_order_relaxed);
+  return FastStep::kInstalled;
+}
 
 bool VmSystem::TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt access) {
   // The ref pins the snapshot — and the shared_ptr<VmObject> inside its
@@ -719,165 +712,107 @@ bool VmSystem::TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt acces
   if ((access & ~prot) != 0) {
     return false;
   }
-  const VmOffset object_offset =
-      TruncPage(e->offset + (page_addr - e->start), page_size());
-  // The snapshot's shared_ptr keeps the object's memory alive; its `alive`
-  // flag is re-checked under its lock, exactly like the locked fast path.
-  lock_probe::Note();
-  ObjectLock olk(e->object->mu);
-  if (!e->object->alive) {
+  const VmOffset object_offset = TruncPage(e->offset + (page_addr - e->start), page_size());
+  if (FastFault(task, page_addr, access, prot, e->object.get(), object_offset,
+                /*may_zero_fill=*/!e->needs_copy, snap->gen) != FastStep::kInstalled) {
     return false;
   }
-  VmPage* page = nullptr;
-  bool zero_fill = false;
-  if (!e->needs_copy && AnonymousLocked(*e->object)) {
-    // Anonymous memory: nothing in the chain can hold data, so the locked
-    // path would zero-fill a missing page in this very slot. Claim it here,
-    // under the one object lock this tier holds, in the same shard
-    // acquisition that finds a page already resident there. A frame
-    // shortage is locked-path work (it waits for the pageout daemon).
-    Result<VmPage*> np = ZeroFillLocked(olk, e->object.get(), object_offset,
-                                        /*allow_reserve=*/false, &page);
-    zero_fill = np.ok();
-    if (zero_fill) {
-      page = np.value();
-    }
-  } else {
-    page = PageLookupRaw(e->object.get(), object_offset);
-  }
-  if (page == nullptr || page->busy || page->absent || page->unavailable ||
-      page->error) {
-    return false;  // Unsettled (or missing) pages are locked-path work.
-  }
-  // First demand touch of a readahead page: recorded under the object lock
-  // (held here), the one lock the flag is guarded by. The detector itself
-  // lives in the map entry, which this tier never reads or writes.
-  page->readahead = false;
-  prot &= ~page->page_lock;
-  if ((access & ~prot) != 0) {
-    return false;
-  }
-  // Install with the generation validated inside the pmap lock (see
-  // Pmap::EnterIf for why that closes the stale-install race). The object
-  // lock keeps the page and its frame stable across the install, matching
-  // the object→pmap order the locked fast path uses.
-  const bool installed = task.pmap->EnterIf(page_addr, page->frame, prot,
-                                            task.map->generation_word(), snap->gen);
-  if (installed || zero_fill) {
-    // A refused install leaves a fresh page resident, settled and queued;
-    // the locked path finds it there.
-    PageActivate(page);
-  }
-  if (!installed) {
-    counters_.map_lookup_retries.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (!zero_fill) {
-    counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
-  }
-  counters_.faults.fetch_add(1, std::memory_order_relaxed);
   counters_.map_lookups_optimistic.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+Result<VmSystem::FaultTarget> VmSystem::ResolveEntry(TaskVm& task, VmOffset page_addr,
+                                                     VmProt access, bool fault) {
+  for (;;) {
+    lock_probe::Note();
+    std::shared_lock<std::shared_mutex> map_lock(task.map->lock());
+    if (fault && config_.optimistic_map_lookup && !task.map->snapshot_current()) {
+      // Refresh the published snapshot while we are here anyway: under the
+      // shared lock the generation is stable (mutators take it exclusive),
+      // so concurrent publishers race benignly toward identical snapshots.
+      task.map->PublishSnapshot();
+    }
+    Result<EntryRef> re = LookupEntry(task, page_addr, access);
+    if (!re.ok()) {
+      return re.status();
+    }
+    EntryRef& ref = re.value();
+    if (ref.needs_prepare) {
+      ref.share_lock = {};
+      map_lock.unlock();
+      KernReturn kr = PrepareEntry(task, page_addr, access);
+      if (!IsOk(kr)) {
+        return kr;
+      }
+      continue;  // Re-resolve with the entry prepared.
+    }
+    FaultTarget target;
+    target.object = ref.holder->object;
+    target.offset = TruncPage(ref.object_offset, page_size());
+    bool missing;
+    if (fault) {
+      // The fast step, in this same critical section. No mutator can move
+      // the generation while we hold the map lock shared, so its install
+      // always validates. The first touch of an anonymous page is
+      // zero-filled here too (a region's first fault, or the optimistic
+      // tier switched off), but not through a sharing map.
+      VmProt prot = ref.top->protection;
+      if (ref.holder->needs_copy) {
+        prot &= ~kVmProtWrite;
+      }
+      const FastStep step =
+          FastFault(task, page_addr, access, prot, target.object.get(), target.offset,
+                    !ref.top->is_share && !ref.holder->needs_copy, task.map->generation());
+      target.installed = step == FastStep::kInstalled;
+      missing = step == FastStep::kMissing;
+    } else {
+      // A racy (shard-lock only) probe is fine for a heuristic: a false
+      // "miss" costs one detector update, nothing more.
+      missing = !PageResident(target.object.get(), target.offset);
+    }
+    if (missing) {
+      // A true miss (not even a placeholder): feed the sequentiality
+      // detector and size the fault-ahead window while the holder pointer
+      // is still valid under the map lock. Re-faults on pages fault-ahead
+      // already brought in deliberately don't count — only run *starts*
+      // advance the detector, which is what keeps the window doubling
+      // across a scan.
+      target.fa_window = ComputeFaultAheadWindow(ref.holder, target.offset);
+    }
+    return target;
+  }
 }
 
 KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
   const VmOffset page_addr = TruncPage(addr, page_size());
   LockOpScope probe(counters_.fault_lock_ops);
-  QueueBatchDrainedCheck batch_check;
   MaybeDrainDeferred();
   // Tier 0: the lock-free resolution. Touches no map lock at all — two
   // VM-tier locks (object, one page-hash shard) for the common resident
   // re-fault, and three (object, one shard acquisition that finds or claims
   // the slot, queue) for the first touch of anonymous memory; the pmap
-  // writer lock and frame locks are the hardware tier.
+  // writer lock and frame locks are the hardware tier. The locked path's
+  // fast step is the same step plus the shared map lock.
   if (config_.optimistic_map_lookup && TryOptimisticFault(task, page_addr, access)) {
     return KernReturn::kSuccess;
   }
   for (int attempt = 0; attempt < 64; ++attempt) {
-    // Phase 1: resolve the map entry under the map lock(s), shared mode.
-    std::shared_ptr<VmObject> object;
-    VmOffset object_offset;
-    uint32_t fa_window = 1;
-    {
-      lock_probe::Note();
-      std::shared_lock<std::shared_mutex> map_lock(task.map->lock());
-      // Refresh the published snapshot while we are here anyway: under the
-      // shared lock the generation is stable (mutators take it exclusive),
-      // so concurrent publishers race benignly toward identical snapshots.
-      if (config_.optimistic_map_lookup && !task.map->snapshot_current()) {
-        task.map->PublishSnapshot();
-      }
-      Result<EntryRef> re = LookupEntry(task, page_addr, access);
-      if (!re.ok()) {
-        return re.status();
-      }
-      if (re.value().needs_prepare) {
-        re.value().share_lock = {};
-        map_lock.unlock();
-        KernReturn kr = PrepareEntry(task, page_addr, access);
-        if (!IsOk(kr)) {
-          return kr;
-        }
-        continue;  // Re-resolve with the entry prepared.
-      }
-      object = re.value().holder->object;
-      object_offset = TruncPage(re.value().object_offset, page_size());
-
-      // Fast path: a settled page resident in the entry's own object can be
-      // installed in this same critical section — map shared → object →
-      // queues → pmap is the documented order, and the object lock keeps
-      // the page stable across the pmap update, so no pin and no second
-      // map lookup are needed. The first touch of an anonymous object's
-      // page is zero-filled here and installed the same way (the optimistic
-      // tier's one-pass fill, for a region's first fault or with that tier
-      // off). Anything unsettled (busy, absent, locked against this access,
-      // COW pending on a write) falls through to the general three-phase
-      // path.
-      {
-        lock_probe::Note();
-        ObjectLock olk(object->mu);
-        VmPage* page = PageLookup(object.get(), object_offset);
-        bool zero_fill = false;
-        if (page == nullptr && !re.value().top->is_share && !re.value().holder->needs_copy &&
-            AnonymousLocked(*object)) {
-          Result<VmPage*> np =
-              ZeroFillLocked(olk, object.get(), object_offset, /*allow_reserve=*/false);
-          if (np.ok()) {
-            page = np.value();
-            zero_fill = true;
-          }
-        }
-        if (page == nullptr) {
-          // A true miss (not even a placeholder): feed the sequentiality
-          // detector and size the fault-ahead window while the holder
-          // pointer is still valid under the map lock. Re-faults on pages
-          // fault-ahead already brought in deliberately don't count —
-          // only run *starts* advance the detector, which is what keeps
-          // the window doubling across a scan.
-          fa_window = ComputeFaultAheadWindow(re.value().holder, object_offset);
-        } else if (!page->busy && !page->absent && !page->unavailable &&
-                   !page->error) {
-          page->readahead = false;  // First demand touch.
-          VmProt prot = re.value().top->protection;
-          if (re.value().holder->needs_copy) {
-            prot &= ~kVmProtWrite;
-          }
-          prot &= ~page->page_lock;
-          if ((access & ~prot) == 0) {
-            task.pmap->Enter(page_addr, page->frame, prot);
-            PageActivate(page);
-            if (!zero_fill) {
-              counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
-            }
-            counters_.faults.fetch_add(1, std::memory_order_relaxed);
-            return KernReturn::kSuccess;
-          }
-        }
-      }
+    // Phase 1: resolve the map entry under the map lock(s), shared mode;
+    // the fast step completes the fault there when it can. Anything it
+    // declines (busy, absent, locked against this access, COW pending on a
+    // write, a miss that is not a one-pass zero fill) takes the page walk.
+    Result<FaultTarget> rt = ResolveEntry(task, page_addr, access, /*fault=*/true);
+    if (!rt.ok()) {
+      return rt.status();
     }
+    if (rt.value().installed) {
+      return KernReturn::kSuccess;
+    }
+    const std::shared_ptr<VmObject>& object = rt.value().object;
+    const VmOffset object_offset = rt.value().offset;
 
     // Phase 2: find/create the page; returns it pinned, no locks held.
-    Result<PagePin> rp = ResolvePage(object, object_offset, access, fa_window);
+    Result<PagePin> rp = ResolvePage(object, object_offset, access, rt.value().fa_window);
     if (!rp.ok()) {
       return rp.status();
     }
@@ -953,42 +888,20 @@ KernReturn VmSystem::UserAccess(TaskVm& task, VmOffset addr, void* buf, VmSize l
 
 KernReturn VmSystem::ReadMemory(TaskVm& task, VmOffset addr, void* buf, VmSize len) {
   // vm_read: kernel-mediated, faults pages in via the object layer without
-  // touching the task's pmap. Pins ride a PinBatch so each page's
-  // activation lands in one batched queue_mu_ acquisition instead of one
-  // per page.
+  // touching the task's pmap. Pins ride a PinBatch so the pages are
+  // activated in one queue_mu_ acquisition instead of one per page.
   auto* out = static_cast<std::byte*>(buf);
   const VmSize ps = page_size();
   PinBatch batch(this);
   while (len > 0) {
     VmOffset page_addr = TruncPage(addr, ps);
     VmSize chunk = std::min<VmSize>(len, page_addr + ps - addr);
-    std::shared_ptr<VmObject> object;
-    VmOffset object_offset;
-    uint32_t fa_window = 1;
-    {
-      std::shared_lock<std::shared_mutex> map_lock(task.map->lock());
-      Result<EntryRef> re = LookupEntry(task, page_addr, kVmProtRead);
-      if (!re.ok()) {
-        return re.status();
-      }
-      if (re.value().needs_prepare) {
-        re.value().share_lock = {};
-        map_lock.unlock();
-        KernReturn kr = PrepareEntry(task, page_addr, kVmProtRead);
-        if (!IsOk(kr)) {
-          return kr;
-        }
-        continue;  // Retry this chunk.
-      }
-      object = re.value().holder->object;
-      object_offset = TruncPage(re.value().object_offset, ps);
-      if (!PageResident(object.get(), object_offset)) {
-        // A racy (shard-lock only) probe is fine for a heuristic: a false
-        // "miss" costs one detector update, nothing more.
-        fa_window = ComputeFaultAheadWindow(re.value().holder, object_offset);
-      }
+    Result<FaultTarget> rt = ResolveEntry(task, page_addr, kVmProtRead, /*fault=*/false);
+    if (!rt.ok()) {
+      return rt.status();
     }
-    Result<PagePin> rp = ResolvePage(object, object_offset, kVmProtRead, fa_window);
+    Result<PagePin> rp =
+        ResolvePage(rt.value().object, rt.value().offset, kVmProtRead, rt.value().fa_window);
     if (!rp.ok()) {
       return rp.status();
     }
@@ -998,7 +911,7 @@ KernReturn VmSystem::ReadMemory(TaskVm& task, VmOffset addr, void* buf, VmSize l
     out += chunk;
     len -= chunk;
   }
-  return KernReturn::kSuccess;  // ~PinBatch flushes and unpins.
+  return KernReturn::kSuccess;  // ~PinBatch activates and unpins.
 }
 
 KernReturn VmSystem::WriteMemory(TaskVm& task, VmOffset addr, const void* buf, VmSize len) {
@@ -1008,31 +921,12 @@ KernReturn VmSystem::WriteMemory(TaskVm& task, VmOffset addr, const void* buf, V
   while (len > 0) {
     VmOffset page_addr = TruncPage(addr, ps);
     VmSize chunk = std::min<VmSize>(len, page_addr + ps - addr);
-    std::shared_ptr<VmObject> object;
-    VmOffset object_offset;
-    uint32_t fa_window = 1;
-    {
-      std::shared_lock<std::shared_mutex> map_lock(task.map->lock());
-      Result<EntryRef> re = LookupEntry(task, page_addr, kVmProtWrite);
-      if (!re.ok()) {
-        return re.status();
-      }
-      if (re.value().needs_prepare) {
-        re.value().share_lock = {};
-        map_lock.unlock();
-        KernReturn kr = PrepareEntry(task, page_addr, kVmProtWrite);
-        if (!IsOk(kr)) {
-          return kr;
-        }
-        continue;  // Retry this chunk.
-      }
-      object = re.value().holder->object;
-      object_offset = TruncPage(re.value().object_offset, ps);
-      if (!PageResident(object.get(), object_offset)) {
-        fa_window = ComputeFaultAheadWindow(re.value().holder, object_offset);
-      }
+    Result<FaultTarget> rt = ResolveEntry(task, page_addr, kVmProtWrite, /*fault=*/false);
+    if (!rt.ok()) {
+      return rt.status();
     }
-    Result<PagePin> rp = ResolvePage(object, object_offset, kVmProtWrite, fa_window);
+    Result<PagePin> rp =
+        ResolvePage(rt.value().object, rt.value().offset, kVmProtWrite, rt.value().fa_window);
     if (!rp.ok()) {
       return rp.status();
     }
@@ -1063,7 +957,7 @@ KernReturn VmSystem::WriteMemory(TaskVm& task, VmOffset addr, const void* buf, V
     in += chunk;
     len -= chunk;
   }
-  return KernReturn::kSuccess;  // ~PinBatch flushes and unpins.
+  return KernReturn::kSuccess;  // ~PinBatch activates and unpins.
 }
 
 // --- vm_copy and flat-byte conversion ---------------------------------------
@@ -1090,20 +984,7 @@ KernReturn VmSystem::Copy(TaskVm& task, VmOffset src, VmSize size, VmOffset dst)
       ReleaseEntry(chain, std::move(entry));
     }
   }
-  VmOffset cursor = dst;
-  for (VmMapCopy::Segment& seg : copy.value()->segments()) {
-    MapEntry entry;
-    entry.start = cursor;
-    entry.end = cursor + seg.size;
-    if (seg.object != nullptr) {
-      entry.object = std::move(seg.object);
-      entry.offset = seg.offset;
-      entry.needs_copy = true;
-    }
-    cursor += seg.size;
-    task.map->Insert(std::move(entry));
-  }
-  copy.value()->segments().clear();
+  InsertCopyLocked(*task.map, dst, *copy.value());
   return KernReturn::kSuccess;
 }
 
@@ -1116,10 +997,17 @@ Result<std::shared_ptr<VmMapCopy>> VmSystem::CopyFromBytes(const void* data, VmS
   std::shared_ptr<VmObject> object = CreateInternalObject(rounded);
   const auto* in = static_cast<const std::byte*>(data);
   ObjectLock olk(object->mu);
+  // Pages not yet on a queue. The object is private (unpublished) and its
+  // lock is held, so they stay stable until activated together.
+  std::vector<VmPage*> fresh;
+  fresh.reserve(rounded / ps);
   for (VmOffset off = 0; off < rounded; off += ps) {
     Result<VmPage*> np = PageAllocLocked(object.get(), off, /*allow_reserve=*/false);
     int rounds = 0;
     while (!np.ok() && np.status() == KernReturn::kResourceShortage && ++rounds <= 100) {
+      // Queue what we hold before waiting, so reclaim may page it out.
+      PagesActivate(fresh);
+      fresh.clear();
       {
         ScopedUnlock unlock(olk);
         WaitForFreeFrames();
@@ -1127,10 +1015,12 @@ Result<std::shared_ptr<VmMapCopy>> VmSystem::CopyFromBytes(const void* data, VmS
       np = PageAllocLocked(object.get(), off, rounds >= 100);
     }
     if (!np.ok()) {
-      // Apply the deferred activations before freeing: PageFreeLocked
-      // unqueues, and the batch must never hold a dangling page.
-      FlushQueueBatch();
-      object->pages.ForEach([&](VmPage* page) { PageFreeLocked(olk, page); });
+      // Terminating the object frees what is still resident in one
+      // PagesFreeLocked batch, and drops any default-pager association a
+      // pageout during the wait gave it.
+      olk.unlock();
+      ChainLock chain(chain_mu_);
+      TerminateObject(chain, object);
       return np.status();
     }
     VmSize n = off < size ? std::min<VmSize>(ps, size - off) : 0;
@@ -1141,11 +1031,9 @@ Result<std::shared_ptr<VmMapCopy>> VmSystem::CopyFromBytes(const void* data, VmS
       phys_->WriteFrame(np.value()->frame, 0, in + off, n);
     }
     np.value()->dirty = true;  // No backing store yet.
-    // Defer the activation: the object is private (unpublished) and its
-    // lock is held, so the page stays stable until the flush below.
-    PageActivateDeferred(np.value());
+    fresh.push_back(np.value());
   }
-  FlushQueueBatch();
+  PagesActivate(fresh);
   olk.unlock();
   auto copy = std::make_shared<VmMapCopy>(this, rounded);
   VmMapCopy::Segment seg;

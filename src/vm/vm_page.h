@@ -106,7 +106,9 @@ struct VmStatistics {
   uint64_t pageins = 0;         // pager_data_provided pages accepted.
   uint64_t pageouts = 0;        // pager_data_write pages sent.
   uint64_t reactivations = 0;   // Inactive pages saved by their ref bit.
-  uint64_t lookups = 0;         // Object/offset hash probes.
+  uint64_t lookups = 0;         // Object/offset hash probes of the page
+                                // walk and the pager handlers (the fault
+                                // fast step probes without counting).
   uint64_t hits = 0;            // Probes that found a resident page.
   uint64_t unlock_requests = 0; // pager_data_unlock calls issued.
   uint64_t parked_pageouts = 0; // Dirty pages diverted to the default pager
@@ -126,7 +128,10 @@ struct VmStatistics {
                                   // pages, uncovered pager-held data, or
                                   // injected suppression).
   uint64_t chain_depth_max = 0;   // Deepest shadow chain any fault walked.
-  uint64_t fast_faults = 0;       // ResolvePage top-object fast-path hits.
+  uint64_t fast_faults = 0;       // Faults that found their page settled
+                                  // in the entry's own object: the fast
+                                  // step's installs of a resident page and
+                                  // ResolvePage's first-probe hits.
   uint64_t spurious_page_wakeups = 0;  // Page-wait wakeups that found the
                                        // awaited page still in transit.
   uint64_t collapse_denied_scan_cap = 0;  // Collapse bypasses declined only
@@ -153,10 +158,12 @@ struct VmStatistics {
                                       // fast path refuses on principle
                                       // (sharing maps, pending COW) are not
                                       // counted — only genuine races are.
-  uint64_t queue_batch_flushes = 0;   // Deferred page-queue batches applied;
-                                      // each flush is one queue_mu_
-                                      // acquisition covering up to
-                                      // QueueBatch::kCapacity activations.
+  uint64_t queue_batch_flushes = 0;   // Batched activations applied: each
+                                      // is one queue_mu_ acquisition for
+                                      // the pages one call gathered (a
+                                      // vm_read/vm_write pin batch, a
+                                      // provide, a manager's death, a copy
+                                      // rebuilt from bytes).
   uint64_t pageout_runs = 0;          // pager_data_write messages sent by the
                                       // pageout/flush/clean paths; each
                                       // message carries one contiguous run

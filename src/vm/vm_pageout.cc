@@ -186,6 +186,28 @@ bool VmSystem::EnsureInternalPager(ChainLock& chain, ObjectLock& olk,
   return true;
 }
 
+void VmSystem::DropPagerLocked(ChainLock& chain, ObjectLock& olk, VmObject* object) {
+  (void)chain;
+  (void)olk;
+  // Order matters: dropping the pager send right *first* makes the manager's
+  // no-senders notification for the object port precede the request-port
+  // death on the manager's notify queue — managers reclaim backing storage
+  // on no-senders and treat the subsequent death as confirmation, never the
+  // reverse.
+  if (object->pager.valid()) {
+    objects_by_pager_.erase(object->pager.id());
+  }
+  if (object->request_receive.valid()) {
+    objects_by_request_.erase(object->request_receive.id());
+    pager_requests_->Remove(object->request_receive);
+  }
+  object->pager = SendRight();
+  object->request_send = SendRight();
+  object->name_send = SendRight();
+  object->request_receive.Destroy();
+  object->name_receive.Destroy();
+}
+
 uint32_t VmSystem::PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
                                      VmPage* page) {
   for (;;) {
@@ -245,9 +267,7 @@ uint32_t VmSystem::PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmOb
   switch (WritePageoutRun(olk, object, run, /*park_on_failure=*/true)) {
     case RunWriteResult::kWritten:
     case RunWriteResult::kParked:
-      for (VmPage* p : run) {
-        PageFreeLocked(olk, p);
-      }
+      PagesFreeLocked(olk, run);
       return static_cast<uint32_t>(run.size());
     case RunWriteResult::kFailed:
       break;
@@ -505,6 +525,10 @@ void VmSystem::HandleDataProvided(const std::shared_ptr<VmObject>& object, VmOff
   // Only integral multiples of the page size are accepted; a trailing
   // partial page is discarded (§3.4.1).
   const VmSize full = (data.size() / ps) * ps;
+  // Activated together at the end: the object lock, held throughout, keeps
+  // them stable, and a multi-page provision pays for one queue lock.
+  std::vector<VmPage*> provided;
+  provided.reserve(full / ps);
   for (VmOffset delta = 0; delta < full; delta += ps) {
     VmOffset off = offset + delta;
     VmPage* page = PageLookup(object.get(), off);
@@ -518,10 +542,7 @@ void VmSystem::HandleDataProvided(const std::shared_ptr<VmObject>& object, VmOff
         page->absent = false;
         page->unavailable = false;
         page->dirty = false;
-        // Batched: the object lock (held to the end) keeps the page stable
-        // until the flush below, and a multi-page provision pays for one
-        // queue lock instead of one per page.
-        PageActivateDeferred(page);
+        provided.push_back(page);
         counters_.pageins.fetch_add(1, std::memory_order_relaxed);
       }
       // Already-resident data: duplicate provision is ignored.
@@ -541,10 +562,10 @@ void VmSystem::HandleDataProvided(const std::shared_ptr<VmObject>& object, VmOff
     phys_->ClearModify(np.value()->frame);
     phys_->ClearReference(np.value()->frame);
     np.value()->page_lock = lock_value;
-    PageActivateDeferred(np.value());
+    provided.push_back(np.value());
     counters_.pageins.fetch_add(1, std::memory_order_relaxed);
   }
-  FlushQueueBatch();
+  PagesActivate(provided);
   object->cv.notify_all();
 }
 
@@ -591,18 +612,11 @@ void VmSystem::HandleDataLock(const std::shared_ptr<VmObject>& object, VmOffset 
 
 void VmSystem::HandleFlush(const std::shared_ptr<VmObject>& object, VmOffset offset,
                            VmSize length) {
-  const VmSize ps = page_size();
   ObjectLock olk(object->mu);
   if (!object->alive) {
     return;
   }
-  std::vector<VmPage*> victims;
-  for (VmPage* page : object->pages) {
-    if (page->offset >= TruncPage(offset, ps) && page->offset < offset + length &&
-        !page->busy && page->pin_count == 0) {
-      victims.push_back(page);
-    }
-  }
+  std::vector<VmPage*> victims = RangePagesLocked(object.get(), offset, length);
   // Invalidate every victim's mappings first, then sample: the dirty ones
   // go back to the manager in contiguous multi-page runs before anything
   // is freed (invalidation writes back modifications first, §3.4.1).
@@ -614,36 +628,20 @@ void VmSystem::HandleFlush(const std::shared_ptr<VmObject>& object, VmOffset off
       WritePageoutRun(olk, object, run, /*park_on_failure=*/true);
     }
   }
-  for (VmPage* page : victims) {
-    PageFreeLocked(olk, page);
-  }
-  // Acknowledge (memory_object_lock_completed): dirty data, if any, went
-  // out above on the same port, so the manager can distinguish "copy was
-  // clean" from "flush still in flight" without a timeout.
-  if (object->pager.valid()) {
-    MsgSend(object->pager,
-            EncodePagerLockCompleted(PagerLockCompletedArgs{object->request_send, offset, length}),
-            kPoll);
-  }
+  PagesFreeLocked(olk, victims);
+  AckLockCompletedLocked(*object, offset, length);
   object->cv.notify_all();
 }
 
 void VmSystem::HandleClean(const std::shared_ptr<VmObject>& object, VmOffset offset,
                            VmSize length) {
-  const VmSize ps = page_size();
   ObjectLock olk(object->mu);
   if (!object->alive) {
     return;
   }
-  std::vector<VmPage*> candidates;
-  for (VmPage* page : object->pages) {
-    if (page->offset >= TruncPage(offset, ps) && page->offset < offset + length &&
-        !page->busy && page->pin_count == 0) {
-      candidates.push_back(page);
-    }
-  }
   // Write-protect, so the copy sent below stays the page's latest data.
-  std::vector<VmPage*> dirty = SortedDirtyLocked(candidates, kVmProtRead | kVmProtExecute);
+  std::vector<VmPage*> dirty = SortedDirtyLocked(RangePagesLocked(object.get(), offset, length),
+                                                 kVmProtRead | kVmProtExecute);
   if (object->pager.valid()) {
     for (const std::vector<VmPage*>& run : BuildPageoutRuns(std::move(dirty))) {
       if (WritePageoutRun(olk, object, run, /*park_on_failure=*/false) ==
@@ -656,12 +654,28 @@ void VmSystem::HandleClean(const std::shared_ptr<VmObject>& object, VmOffset off
       // On failure the run's pages simply stay dirty; pageout retries later.
     }
   }
-  if (object->pager.valid()) {
-    MsgSend(object->pager,
-            EncodePagerLockCompleted(PagerLockCompletedArgs{object->request_send, offset, length}),
+  AckLockCompletedLocked(*object, offset, length);
+  object->cv.notify_all();
+}
+
+std::vector<VmPage*> VmSystem::RangePagesLocked(VmObject* object, VmOffset offset,
+                                                VmSize length) {
+  std::vector<VmPage*> pages;
+  for (VmPage* page : object->pages) {
+    if (page->offset >= TruncPage(offset, page_size()) && page->offset < offset + length &&
+        !page->busy && page->pin_count == 0) {
+      pages.push_back(page);
+    }
+  }
+  return pages;
+}
+
+void VmSystem::AckLockCompletedLocked(const VmObject& object, VmOffset offset, VmSize length) {
+  if (object.pager.valid()) {
+    MsgSend(object.pager,
+            EncodePagerLockCompleted(PagerLockCompletedArgs{object.request_send, offset, length}),
             kPoll);
   }
-  object->cv.notify_all();
 }
 
 void VmSystem::HandleCache(const std::shared_ptr<VmObject>& object, bool may_cache) {
@@ -691,6 +705,7 @@ void VmSystem::HandlePagerDeath(ChainLock& chain, std::shared_ptr<VmObject> obje
     return;
   }
   counters_.manager_deaths.fetch_add(1, std::memory_order_relaxed);
+  std::vector<VmPage*> settled;  // Stable until activated: olk is held.
   for (VmPage* page : object->pages) {
     if (page->busy && page->absent) {
       // In-flight placeholder: the requested data can never arrive. Resolve
@@ -698,15 +713,8 @@ void VmSystem::HandlePagerDeath(ChainLock& chain, std::shared_ptr<VmObject> obje
       // (Settling another thread's busy page is the documented exception to
       // busy ownership: the owner only ever observes the settled state.)
       if (zero_fill) {
-        phys_->ZeroFrame(page->frame);
-        phys_->ClearModify(page->frame);
-        phys_->ClearReference(page->frame);
-        page->busy = false;
-        page->absent = false;
-        page->unavailable = false;
-        page->dirty = true;  // No backing copy of the zeroes exists.
-        PageActivateDeferred(page);  // Stable: olk held until the flush.
-        counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
+        SettleZeroFillLocked(olk, page);
+        settled.push_back(page);
       } else {
         page->error = true;
         page->busy = false;
@@ -718,23 +726,12 @@ void VmSystem::HandlePagerDeath(ChainLock& chain, std::shared_ptr<VmObject> obje
     page->page_lock = kVmProtNone;
     page->unlock_pending = false;
   }
-  FlushQueueBatch();
+  PagesActivate(settled);
   if (zero_fill) {
     // Sever the association with the dead manager cleanly. The object
     // lives on as an internal one: future non-resident faults zero-fill,
     // and future pageouts re-home it with the default pager.
-    if (object->pager.valid()) {
-      objects_by_pager_.erase(object->pager.id());
-    }
-    if (object->request_receive.valid()) {
-      objects_by_request_.erase(object->request_receive.id());
-      pager_requests_->Remove(object->request_receive);
-    }
-    object->pager = SendRight();
-    object->request_send = SendRight();
-    object->name_send = SendRight();
-    object->request_receive.Destroy();
-    object->name_receive.Destroy();
+    DropPagerLocked(chain, olk, object.get());
     object->internal = true;
     object->pager_initialized = false;
     // Whatever the dead manager held is gone; a later re-homing with the

@@ -78,10 +78,6 @@ VmSystem::VmSystem(PhysicalMemory* phys, Config config, FaultInjector* injector)
     ++bucket_shift_;
   }
   buckets_.assign(kPageHashShards << bucket_shift_, nullptr);
-  // A PinBatch may hold this many frames pinned at once; keep it a small
-  // fraction of physical memory so batching can never starve reclaim.
-  pin_batch_cap_ = std::min<size_t>(QueueBatch::kCapacity,
-                                    std::max<size_t>(1, phys_->frame_count() / 8));
   // A cap of 1 is page-at-a-time. The wire decoder rejects runs beyond
   // kPagerMaxRunPages, so never ask for more than that.
   config_.pageout_cluster_max = std::max<uint32_t>(config_.pageout_cluster_max, 1);
@@ -317,15 +313,6 @@ void VmSystem::PageActivateLocked(VmPage* page) {
   ++active_count_;
 }
 
-void VmSystem::PageDeactivate(VmPage* page) {
-  if (page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kInactive) {
-    return;  // Same fast-out rationale as PageActivate.
-  }
-  lock_probe::Note();
-  std::lock_guard<std::mutex> g(queue_mu_);
-  PageDeactivateLocked(page);
-}
-
 void VmSystem::PageDeactivateLocked(VmPage* page) {
   if (page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kInactive) {
     return;
@@ -361,73 +348,50 @@ void VmSystem::PageRemoveFromQueueLocked(VmPage* page) {
   page->queue.store(VmPage::Queue::kNone, std::memory_order_relaxed);
 }
 
-VmSystem::QueueBatch& VmSystem::ThreadQueueBatch() {
-  // Per-thread, but shared across VmSystem instances (a process can run two
-  // kernels, e.g. the migration demo) — hence the drain-before-return
-  // discipline asserted by QueueBatchDrainedCheck: a batch never survives
-  // past the operation that filled it, so it can never flush pages into the
-  // wrong kernel's queues.
-  static thread_local QueueBatch batch;
-  return batch;
-}
-
-void VmSystem::PageActivateDeferred(VmPage* page) {
-  if (page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kActive) {
-    counters_.activations_skipped.fetch_add(1, std::memory_order_relaxed);
-    return;
+void VmSystem::PagesActivate(std::span<VmPage* const> pages) {
+  // PageActivate's tag fast-out, page by page; the rest share one lock.
+  const auto active = [](const VmPage* page) {
+    return page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kActive;
+  };
+  const auto skipped = static_cast<size_t>(std::count_if(pages.begin(), pages.end(), active));
+  if (skipped > 0) {
+    counters_.activations_skipped.fetch_add(skipped, std::memory_order_relaxed);
   }
-  QueueBatch& batch = ThreadQueueBatch();
-  batch.pages[batch.count++] = page;
-  if (batch.count == QueueBatch::kCapacity) {
-    FlushQueueBatch();
-  }
-}
-
-void VmSystem::FlushQueueBatch() {
-  QueueBatch& batch = ThreadQueueBatch();
-  if (batch.empty()) {
+  if (skipped == pages.size()) {
     return;
   }
   lock_probe::Note();
   std::lock_guard<std::mutex> g(queue_mu_);
-  for (size_t i = 0; i < batch.count; ++i) {
-    PageActivateLocked(batch.pages[i]);
+  for (VmPage* page : pages) {
+    PageActivateLocked(page);
   }
-  batch.count = 0;
   counters_.queue_batch_flushes.fetch_add(1, std::memory_order_relaxed);
 }
 
-VmSystem::QueueBatchDrainedCheck::QueueBatchDrainedCheck() {
-  MACH_DEBUG_ASSERT(ThreadQueueBatch().empty());
-}
-
-VmSystem::QueueBatchDrainedCheck::~QueueBatchDrainedCheck() {
-  MACH_DEBUG_ASSERT(ThreadQueueBatch().empty());
-}
-
-VmSystem::PinBatch::PinBatch(VmSystem* vm) : vm_(vm), cap_(vm->pin_batch_cap_) {
-  MACH_DEBUG_ASSERT(ThreadQueueBatch().empty());
-  pins_.reserve(cap_);
-}
-
-VmSystem::PinBatch::~PinBatch() { Drain(); }
+// The cap is a small fraction of physical memory, so batched pins can never
+// starve reclaim.
+VmSystem::PinBatch::PinBatch(VmSystem* vm)
+    : vm_(vm), cap_(std::clamp<size_t>(vm->phys_->frame_count() / 8, 1, kMaxPins)) {}
 
 void VmSystem::PinBatch::Add(PagePin&& pin) {
-  vm_->PageActivateDeferred(pin.page);
-  pins_.push_back(std::move(pin));
-  if (pins_.size() >= cap_) {
+  pins_[count_++] = std::move(pin);
+  if (count_ >= cap_) {
     Drain();
   }
 }
 
 void VmSystem::PinBatch::Drain() {
-  // Flush activations *before* unpinning: the pin is what keeps a deferred
-  // page stable (unfreed, unrenamed) until its queue entry is applied.
-  vm_->FlushQueueBatch();
-  for (PagePin& pin : pins_) {
-    vm_->UnpinPage(pin);
+  // Activate *before* unpinning: the pin is what keeps each page stable
+  // (unfreed, unrenamed) until its queue entry is applied.
+  std::array<VmPage*, kMaxPins> pages;
+  for (size_t i = 0; i < count_; ++i) {
+    pages[i] = pins_[i].page;
   }
-  pins_.clear();
+  vm_->PagesActivate(std::span(pages.data(), count_));
+  for (size_t i = 0; i < count_; ++i) {
+    vm_->UnpinPage(pins_[i]);
+  }
+  count_ = 0;
 }
 
 void VmSystem::PageRename(VmPage* page, VmObject* new_object, VmOffset new_offset) {
@@ -555,23 +519,8 @@ void VmSystem::TerminateObject(ChainLock& chain, const std::shared_ptr<VmObject>
     PagesFreeLocked(olk, victims);
     // Deallocate the kernel's rights to the three ports; the data manager
     // receives death notifications for the request and name ports and can
-    // perform its shutdown (§3.4.1). Order matters: dropping the pager send
-    // right *first* makes the manager's no-senders notification for the
-    // object port precede the request-port death on the manager's notify
-    // queue — managers reclaim backing storage on no-senders and treat the
-    // subsequent death as confirmation, never the reverse.
-    if (object->pager.valid()) {
-      objects_by_pager_.erase(object->pager.id());
-    }
-    if (object->request_receive.valid()) {
-      objects_by_request_.erase(object->request_receive.id());
-      pager_requests_->Remove(object->request_receive);
-    }
-    object->pager = SendRight();
-    object->request_send = SendRight();
-    object->name_send = SendRight();
-    object->request_receive.Destroy();
-    object->name_receive.Destroy();
+    // perform its shutdown (§3.4.1).
+    DropPagerLocked(chain, olk, object.get());
     // Any data parked with the default pager under this object's id is
     // unreachable from now on; reclaim the store's blocks.
     if (parking_ != nullptr) {
@@ -612,13 +561,18 @@ void VmSystem::ReleaseEntry(ChainLock& chain, MapEntry&& entry) {
   }
 }
 
-void VmSystem::WriteProtectResident(VmObject* object, VmOffset offset, VmSize size) {
-  ObjectLock olk(object->mu);
-  for (VmPage* page : object->pages) {
-    if (page->offset >= offset && page->offset < offset + size) {
-      Pmap::PageProtect(phys_, page->frame, kVmProtRead | kVmProtExecute);
+std::shared_ptr<VmObject> VmSystem::MarkCopyOnWrite(MapEntry* entry) {
+  entry->needs_copy = true;
+  {
+    ObjectLock olk(entry->object->mu);
+    for (VmPage* page : entry->object->pages) {
+      if (page->offset >= entry->offset && page->offset < entry->offset + entry->size()) {
+        Pmap::PageProtect(phys_, page->frame, kVmProtRead | kVmProtExecute);
+      }
     }
   }
+  ObjectRef(entry->object);
+  return entry->object;
 }
 
 // --- shadow-chain collapse (Mach's vm_object_collapse / bypass) -------------
@@ -935,28 +889,8 @@ Result<VmOffset> VmSystem::Allocate(TaskVm& task, VmOffset addr, VmSize size, bo
   }
   MaybeDrainDeferred();
   MapMutation mlk(*task.map);
-  size = RoundPage(size, page_size());
-  if (anywhere) {
-    Result<VmOffset> found = task.map->FindSpace(size, addr);
-    if (!found.ok()) {
-      return found.status();
-    }
-    addr = found.value();
-  } else {
-    addr = TruncPage(addr, page_size());
-    if (!task.map->RangeFree(addr, size)) {
-      return KernReturn::kNoSpace;
-    }
-  }
-  MapEntry entry;
-  entry.start = addr;
-  entry.end = addr + size;
   // Zero-filled on demand: the backing object is created at first fault.
-  KernReturn kr = task.map->Insert(std::move(entry));
-  if (!IsOk(kr)) {
-    return kr;
-  }
-  return addr;
+  return MapRegionLocked(*task.map, addr, RoundPage(size, page_size()), anywhere, MapEntry{});
 }
 
 Result<VmOffset> VmSystem::AllocateWithPager(TaskVm& task, VmOffset addr, VmSize size,
@@ -1004,32 +938,17 @@ Result<VmOffset> VmSystem::AllocateWithPager(TaskVm& task, VmOffset addr, VmSize
       need_init = true;
     }
   }
-  VmOffset result_addr = 0;
+  Result<VmOffset> mapped = KernReturn::kFailure;
   {
     MapMutation mlk(*task.map);
-    if (anywhere) {
-      Result<VmOffset> found = task.map->FindSpace(size, addr);
-      if (!found.ok()) {
-        return found.status();
-      }
-      addr = found.value();
-    } else {
-      addr = TruncPage(addr, page_size());
-      if (!task.map->RangeFree(addr, size)) {
-        return KernReturn::kNoSpace;
-      }
-    }
     MapEntry entry;
-    entry.start = addr;
-    entry.end = addr + size;
     entry.object = object;
     entry.offset = offset;
-    KernReturn kr = task.map->Insert(std::move(entry));
-    if (!IsOk(kr)) {
-      return kr;
+    mapped = MapRegionLocked(*task.map, addr, size, anywhere, std::move(entry));
+    if (!mapped.ok()) {
+      return mapped;
     }
     ObjectRef(object);
-    result_addr = addr;
   }
   if (need_init) {
     // pager_init is performed before the vm_allocate_with_pager call
@@ -1047,7 +966,30 @@ Result<VmOffset> VmSystem::AllocateWithPager(TaskVm& task, VmOffset addr, VmSize
       MsgSend(pager, EncodePagerInit(init), std::chrono::milliseconds(1000));
     }
   }
-  return result_addr;
+  return mapped;
+}
+
+Result<VmOffset> VmSystem::MapRegionLocked(AddressMap& map, VmOffset addr, VmSize size,
+                                           bool anywhere, MapEntry entry) {
+  if (anywhere) {
+    Result<VmOffset> found = map.FindSpace(size, addr);
+    if (!found.ok()) {
+      return found.status();
+    }
+    addr = found.value();
+  } else {
+    addr = TruncPage(addr, page_size());
+    if (!map.RangeFree(addr, size)) {
+      return KernReturn::kNoSpace;
+    }
+  }
+  entry.start = addr;
+  entry.end = addr + size;
+  KernReturn kr = map.Insert(std::move(entry));
+  if (!IsOk(kr)) {
+    return kr;
+  }
+  return addr;
 }
 
 KernReturn VmSystem::Deallocate(TaskVm& task, VmOffset addr, VmSize size) {
@@ -1250,27 +1192,20 @@ void VmSystem::ForkMap(TaskVm& parent, TaskVm& child) {
             child_entry.max_protection = entry->max_protection;
             child_entry.inheritance = entry->inheritance;
             if (sub->object != nullptr) {
-              child_entry.object = sub->object;
+              child_entry.object = MarkCopyOnWrite(sub);
               child_entry.offset = sub->offset;
               child_entry.needs_copy = true;
-              ObjectRef(sub->object);
-              sub->needs_copy = true;
-              WriteProtectResident(sub->object.get(), sub->offset, sub->size());
             }
             child.map->Insert(std::move(child_entry));
           }
-        } else if (entry->object == nullptr) {
-          // Untouched zero-fill region: the child simply gets its own.
-          MapEntry child_entry = *entry;
-          child.map->Insert(std::move(child_entry));
         } else {
-          // Symmetric copy-on-write (§5.5): both sides shadow on write.
-          entry->needs_copy = true;
-          WriteProtectResident(entry->object.get(),
-                               entry->offset, entry->size());
-          MapEntry child_entry = *entry;
-          ObjectRef(child_entry.object);
-          child.map->Insert(std::move(child_entry));
+          // Symmetric copy-on-write (§5.5): both sides shadow on write. An
+          // untouched zero-fill region has no object yet: the child simply
+          // gets its own.
+          if (entry->object != nullptr) {
+            MarkCopyOnWrite(entry);
+          }
+          child.map->Insert(MapEntry(*entry));
         }
         break;
       }
@@ -1292,33 +1227,21 @@ Result<std::shared_ptr<VmMapCopy>> VmSystem::CopyIn(TaskVm& task, VmOffset addr,
   auto copy = std::make_shared<VmMapCopy>(this, size);
   const VmOffset end = addr + size;
   for (MapEntry* top : task.map->ClipRange(addr, end)) {
+    // One segment per entry that holds the data: the top entry itself, or
+    // the sharing-map entries under it — exclusive on the sharing map for the
+    // needs_copy + write-protect mutation, as in ForkMap.
+    std::unique_lock<std::shared_mutex> slk;
+    std::vector<MapEntry*> holders{top};
     if (top->is_share) {
-      // Exclusive on the sharing map for the needs_copy + write-protect
-      // mutation, as in ForkMap.
-      std::unique_lock<std::shared_mutex> slk(top->share_map->lock());
-      VmOffset lo = top->offset;
-      VmOffset hi = top->offset + top->size();
-      for (MapEntry* sub : top->share_map->ClipRange(lo, hi)) {
-        VmMapCopy::Segment seg;
-        seg.size = sub->size();
-        if (sub->object != nullptr) {
-          seg.object = sub->object;
-          seg.offset = sub->offset;
-          ObjectRef(sub->object);
-          sub->needs_copy = true;
-          WriteProtectResident(sub->object.get(), sub->offset, sub->size());
-        }
-        copy->segments().push_back(std::move(seg));
-      }
-    } else {
+      slk = std::unique_lock<std::shared_mutex>(top->share_map->lock());
+      holders = top->share_map->ClipRange(top->offset, top->offset + top->size());
+    }
+    for (MapEntry* holder : holders) {
       VmMapCopy::Segment seg;
-      seg.size = top->size();
-      if (top->object != nullptr) {
-        seg.object = top->object;
-        seg.offset = top->offset;
-        ObjectRef(top->object);
-        top->needs_copy = true;
-        WriteProtectResident(top->object.get(), top->offset, top->size());
+      seg.size = holder->size();
+      if (holder->object != nullptr) {
+        seg.object = MarkCopyOnWrite(holder);
+        seg.offset = holder->offset;
       }
       copy->segments().push_back(std::move(seg));
     }
@@ -1339,22 +1262,24 @@ Result<VmOffset> VmSystem::CopyOut(TaskVm& task, const std::shared_ptr<VmMapCopy
   if (!found.ok()) {
     return found.status();
   }
-  VmOffset addr = found.value();
-  VmOffset cursor = addr;
-  for (VmMapCopy::Segment& seg : copy->segments()) {
+  InsertCopyLocked(*task.map, found.value(), *copy);
+  return found.value();
+}
+
+void VmSystem::InsertCopyLocked(AddressMap& map, VmOffset addr, VmMapCopy& copy) {
+  for (VmMapCopy::Segment& seg : copy.segments()) {
     MapEntry entry;
-    entry.start = cursor;
-    entry.end = cursor + seg.size;
+    entry.start = addr;
+    entry.end = addr + seg.size;
     if (seg.object != nullptr) {
       entry.object = std::move(seg.object);  // Transfers the reference.
       entry.offset = seg.offset;
       entry.needs_copy = true;
     }
-    cursor += seg.size;
-    task.map->Insert(std::move(entry));
+    addr += seg.size;
+    map.Insert(std::move(entry));
   }
-  copy->segments().clear();  // Consumed.
-  return addr;
+  copy.segments().clear();  // Consumed.
 }
 
 VmMapCopy::~VmMapCopy() {

@@ -49,8 +49,8 @@
 //      Nests inside object locks; the pageout scan, which needs the reverse
 //      direction, only ever try_locks an object from under it. The queue
 //      tag itself is an atomic written only under this lock, so
-//      PageActivate / PageDeactivate skip the lock entirely when the tag
-//      already matches (see vm_page.h).
+//      PageActivate and PagesActivate skip the lock entirely for a page
+//      already active (see vm_page.h).
 //   6. The hardware tier: Pmap::mu_, which serialises pmap *writers* only
 //      (Enter/EnterIf/Remove/Protect/PageProtect), then PhysicalMemory frame
 //      and free-list locks. Pmap readers (Access, Translate) take no pmap
@@ -79,6 +79,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -401,63 +402,17 @@ class VmSystem {
   void PageDetachLocked(VmPage* page);
 
   void PageActivate(VmPage* page);
-  void PageDeactivate(VmPage* page);
+  // PageActivate for the pages one call gathered (vm_read / vm_write, pager
+  // data arrival, death resolution, a copy rebuilt from bytes): the pages
+  // not yet active go on the active queue under one queue_mu_ acquisition,
+  // counted in queue_batch_flushes. The caller keeps every page stable —
+  // pinned, or its object's mu held — until this returns.
+  void PagesActivate(std::span<VmPage* const> pages);
   void PageRemoveFromQueue(VmPage* page);
   // Variants for callers already under queue_mu_ (the pageout scan).
   void PageActivateLocked(VmPage* page);
   void PageDeactivateLocked(VmPage* page);
   void PageRemoveFromQueueLocked(VmPage* page);
-
-  // --- batched queue operations ----------------------------------------
-
-  struct PagePin;  // Defined below (fault machinery).
-
-  // The per-thread deferral list for page activations: multi-page
-  // operations (vm_read / vm_write / pager data arrival / death
-  // resolution) accumulate pages here and apply the whole batch under one
-  // queue_mu_ acquisition instead of locking per page. Discipline: a page
-  // in the batch must be kept stable — pinned, or its object's mu held —
-  // until the flush, and every operation drains the batch before it
-  // returns (Fault() asserts this at entry and exit, so a leak cannot
-  // silently carry pages into an unrelated operation or another kernel
-  // instance).
-  struct QueueBatch {
-    static constexpr size_t kCapacity = 16;
-    std::array<VmPage*, kCapacity> pages;
-    size_t count = 0;
-    bool empty() const { return count == 0; }
-  };
-  static QueueBatch& ThreadQueueBatch();
-
-  // Defers activation of `page` into the thread batch (tag fast-out first,
-  // like PageActivate); flushes inline if the batch is full.
-  void PageActivateDeferred(VmPage* page);
-  // Applies and empties the thread batch under one queue_mu_ acquisition.
-  void FlushQueueBatch();
-
-  // Debug guard asserting the thread batch is drained at construction and
-  // destruction (fault entry and exit; see MACH_DEBUG_ASSERT).
-  struct QueueBatchDrainedCheck {
-    QueueBatchDrainedCheck();
-    ~QueueBatchDrainedCheck();
-  };
-
-  // Pins held across a multi-page kernel-mediated access so each page's
-  // activation can ride the thread queue batch: the pin keeps the deferred
-  // page stable until the flush. Drained (flush, then unpin) at a capacity
-  // scaled to physical memory — so batched pins can never hold enough
-  // frames to starve reclaim — and on every exit path via the destructor.
-  struct PinBatch {
-    explicit PinBatch(VmSystem* vm);
-    ~PinBatch();
-    PinBatch(const PinBatch&) = delete;
-    PinBatch& operator=(const PinBatch&) = delete;
-    void Add(PagePin&& pin);
-    void Drain();
-    VmSystem* vm_;
-    size_t cap_;
-    std::vector<PagePin> pins_;
-  };
 
   // Re-homes a page into `new_object` (collapse migration). Caller holds
   // both objects' locks; identity flips under queue_mu_ so the pageout scan
@@ -483,6 +438,25 @@ class VmSystem {
     VmProt page_lock = kVmProtNone;
   };
 
+  // Pins held across a multi-page kernel-mediated access, so the pages are
+  // activated together (PagesActivate) while the pins keep them stable.
+  // Drained (activate, then unpin) at a capacity scaled to physical memory —
+  // so batched pins can never hold enough frames to starve reclaim — and on
+  // every exit path via the destructor.
+  struct PinBatch {
+    static constexpr size_t kMaxPins = 16;
+    explicit PinBatch(VmSystem* vm);
+    ~PinBatch() { Drain(); }
+    PinBatch(const PinBatch&) = delete;
+    PinBatch& operator=(const PinBatch&) = delete;
+    void Add(PagePin&& pin);
+    void Drain();
+    VmSystem* vm_;
+    size_t cap_;
+    std::array<PagePin, kMaxPins> pins_;
+    size_t count_ = 0;
+  };
+
   // Entry resolution under the map lock(s). `share_lock` keeps the sharing
   // map's entries stable for as long as the holder pointer is used.
   struct EntryRef {
@@ -505,21 +479,48 @@ class VmSystem {
   // fault-ahead is disabled.
   uint32_t ComputeFaultAheadWindow(MapEntry* holder, VmOffset object_offset);
 
-  // The lock-free fault fast path (Config::optimistic_map_lookup): resolves
-  // `page_addr` against the map's published snapshot and installs the
-  // translation with the generation validated inside the pmap lock. Handles
-  // only the exact analogues of the in-lock fast path — a settled page
-  // resident in the entry's own object with sufficient protection, or the
-  // first touch of an anonymous object (AnonymousLocked, entry not
-  // copy-on-write), zero-filled in one pass under the object lock; returns
-  // false (fall back to the locked path) for everything else, including
-  // every would-be error verdict: errors are never decided from a snapshot.
-  bool TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt access);
-
   // Performs the mutations LookupEntry flagged (lazy zero-fill object,
   // copy-on-write shadow) under exclusive map locks. Takes no other locks
   // on entry.
   KernReturn PrepareEntry(TaskVm& task, VmOffset addr, VmProt access);
+
+  // Where an access to a page lands: its object and offset, the fault-ahead
+  // window to use if it misses, and whether the fast step already installed
+  // it (a fault's resolution only).
+  struct FaultTarget {
+    std::shared_ptr<VmObject> object;
+    VmOffset offset = 0;
+    uint32_t fa_window = 1;
+    bool installed = false;
+  };
+
+  // The one entry resolution of a fault, vm_read and vm_write: LookupEntry
+  // under the shared map lock(s), PrepareEntry and a retry when the entry
+  // needs it, and the fault-ahead window on a miss. With `fault`, the same
+  // critical section republishes the map's snapshot and runs the fast step
+  // (FastFault) at the generation it holds stable.
+  Result<FaultTarget> ResolveEntry(TaskVm& task, VmOffset page_addr, VmProt access, bool fault);
+
+  // The fast step both fault tiers share. Under `object`'s lock it
+  // zero-fills the first touch of anonymous memory (`may_zero_fill` and
+  // AnonymousLocked) in one shard acquisition or else probes the hash,
+  // refuses an unsettled page, clamps `prot` (the entry's protection, less
+  // write on a pending copy) by the page's manager lock, installs with
+  // Pmap::EnterIf at map generation `gen` and activates. Counts the fault on
+  // kInstalled (and fast_faults unless it zero-filled), and a refused
+  // install in map_lookup_retries; kMissing is a true miss, the hash
+  // holding no page at all.
+  enum class FastStep { kInstalled, kMissing, kDeclined };
+  FastStep FastFault(TaskVm& task, VmOffset page_addr, VmProt access, VmProt prot,
+                     VmObject* object, VmOffset object_offset, bool may_zero_fill, uint64_t gen);
+
+  // Tier 0 (Config::optimistic_map_lookup): resolves `page_addr` against
+  // the map's published snapshot with no map lock and runs the fast step at
+  // the snapshot's generation, which EnterIf validates inside the pmap lock.
+  // Takes plain unshared entries only; returns false (fall back to the
+  // locked path) for everything else, including every would-be error
+  // verdict: errors are never decided from a snapshot.
+  bool TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt access);
 
   // The §5.5 page walk: finds or creates the page for
   // (first_object, first_offset), waiting on busy pages, asking pagers, and
@@ -542,6 +543,12 @@ class VmSystem {
   bool WaitForPage(ObjectLock& olk, VmObject* object,
                    std::chrono::steady_clock::time_point deadline);
 
+  // Settles a busy+absent placeholder whose data will never arrive (the
+  // request never reached the manager, the wait timed out, the manager
+  // died) as zero fill, the §6.2.1 substitute: zeroed, settled and dirty,
+  // since no backing copy of the zeroes exists. Caller holds the owner's mu.
+  void SettleZeroFillLocked(ObjectLock& olk, VmPage* page);
+
   // Message sends to the object's manager. `olk` (the object's mu) is
   // released across the send and reacquired; callers revalidate after.
   // `length` spans the whole run (page-size multiple; one page when no
@@ -550,6 +557,11 @@ class VmSystem {
                                   VmOffset offset, VmSize length, VmProt access);
   KernReturn RequestUnlockFromPager(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
                                     VmPage* page, VmProt access);
+  // The send both share. A manager whose queue stays full for the whole
+  // fault-wait budget is an unresponsive manager (§6.1), so the send is
+  // bounded by pager_timeout (and by 2 s at most).
+  KernReturn SendToPagerLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                               Message msg);
 
   // --- objects -----------------------------------------------------------
 
@@ -563,12 +575,32 @@ class VmSystem {
   void ObjectRelease(ChainLock& chain, std::shared_ptr<VmObject> object);
   void TerminateObject(ChainLock& chain, const std::shared_ptr<VmObject>& object);
   void ReleaseEntry(ChainLock& chain, MapEntry&& entry);
-  void WriteProtectResident(VmObject* object, VmOffset offset, VmSize size);
+  // Marks `entry` copy-on-write for a copy taken of it (fork, vm_copy, an
+  // out-of-line send; §5.5): sets needs_copy, write-protects the resident
+  // pages of its window and takes the copy's reference to its object, which
+  // it returns. Caller holds the entry's map exclusively.
+  std::shared_ptr<VmObject> MarkCopyOnWrite(MapEntry* entry);
 
   // Ensures an internal object has a default-pager association
   // (pager_create). Caller holds chain_mu_ and the object's mu.
   bool EnsureInternalPager(ChainLock& chain, ObjectLock& olk,
                            const std::shared_ptr<VmObject>& object);
+  // Forgets `object`'s manager: drops it from the pager registries and
+  // deallocates the kernel's rights to its three ports. Caller holds
+  // chain_mu_ and the object's mu.
+  void DropPagerLocked(ChainLock& chain, ObjectLock& olk, VmObject* object);
+
+  // --- map placement ------------------------------------------------------
+
+  // Maps `entry` over a fresh range of `size` bytes: anywhere from `addr` up,
+  // or exactly at `addr` (page-truncated) if that range is free. Returns the
+  // address. Caller holds the map exclusively.
+  Result<VmOffset> MapRegionLocked(AddressMap& map, VmOffset addr, VmSize size, bool anywhere,
+                                   MapEntry entry);
+  // Maps `copy`'s segments one after another from `addr`, copy-on-write
+  // (a null segment stays lazy zero fill), and consumes it: each segment's
+  // reference moves into its entry. Caller holds the map exclusively.
+  void InsertCopyLocked(AddressMap& map, VmOffset addr, VmMapCopy& copy);
 
   // --- shadow-chain collapse (Mach's vm_object_collapse / bypass) --------
 
@@ -656,6 +688,15 @@ class VmSystem {
                       VmProt lock_value);
   void HandleFlush(const std::shared_ptr<VmObject>& object, VmOffset offset, VmSize length);
   void HandleClean(const std::shared_ptr<VmObject>& object, VmOffset offset, VmSize length);
+  // The pages of [offset, offset + length) a flush or clean handles now:
+  // busy pages are in transit and pinned ones are being installed, so both
+  // are left alone. Caller holds the object's mu.
+  std::vector<VmPage*> RangePagesLocked(VmObject* object, VmOffset offset, VmSize length);
+  // memory_object_lock_completed for a flush or clean of [offset, offset +
+  // length): its dirty data, if any, went out before on the same port, so
+  // the manager can tell "copy was clean" from "flush still in flight"
+  // without a timeout. Caller holds the object's mu.
+  void AckLockCompletedLocked(const VmObject& object, VmOffset offset, VmSize length);
   void HandleCache(const std::shared_ptr<VmObject>& object, bool may_cache);
 
   // Death-notification fast path (§6.2.1): the memory-object port of a
@@ -741,11 +782,6 @@ class VmSystem {
   TrustedParkingStore* parking_ = nullptr;
 
   mutable Counters counters_;
-
-  // Cap on pins a PinBatch may hold at once; sized against the frame pool
-  // in the constructor so batched pins can never starve reclaim in
-  // small-memory configurations.
-  size_t pin_batch_cap_ = 16;
 
   // Object references dropped by VmMapCopy destructors (possibly on threads
   // that must not take VM locks); drained opportunistically. The atomic

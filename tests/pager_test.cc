@@ -1059,5 +1059,34 @@ TEST_F(ErrantManagerTest, RequestPortNamedAsMemoryObjectQueuesTheKernelsOwnCalls
   }
 }
 
+TEST_F(ErrantManagerTest, FullQueueFailsAnUnlockWithinThePagerTimeout) {
+  // A manager whose queue stays full for the whole fault budget is
+  // unresponsive (§6.1): pager_data_unlock, like pager_data_request, gives
+  // up after pager_timeout, not after a fixed 2 s.
+  PhysicalMemory phys(64, kPage);
+  VmSystem::Config config;
+  config.pager_timeout = std::chrono::milliseconds(50);
+  VmSystem vm(&phys, config);
+  TaskVm task = vm.CreateTaskVm();
+  PortPair object = PortAllocate("full-queue-manager");
+  object.receive.port()->SetBacklog(1);
+  VmOffset addr = vm.AllocateWithPager(task, 0, kPage, true, object.send, 0).value();
+  Result<Message> init = MsgReceive(object.receive, kPoll);
+  ASSERT_TRUE(init.ok());
+  Result<PagerInitArgs> args = DecodePagerInit(init.value());
+  ASSERT_TRUE(args.ok());
+  // Page 0 arrives write-locked, so a write must ask for pager_data_unlock.
+  ASSERT_EQ(DataManager::ProvideData(args.value().pager_request_port, 0,
+                                     std::vector<std::byte>(kPage), kVmProtWrite),
+            KernReturn::kSuccess);
+  // Nobody drains the manager's queue, and one message fills it.
+  ASSERT_EQ(MsgSend(object.send, Message(kMsgPagerInit), kPoll), KernReturn::kSuccess);
+  const auto start = std::chrono::steady_clock::now();
+  uint64_t v = 1;
+  EXPECT_EQ(vm.WriteMemory(task, addr, &v, sizeof(v)), KernReturn::kMemoryFailure);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(500));
+  ASSERT_EQ(vm.Deallocate(task, addr, kPage), KernReturn::kSuccess);
+}
+
 }  // namespace
 }  // namespace mach

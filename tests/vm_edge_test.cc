@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -68,6 +69,63 @@ TEST_F(VmEdgeTest, VmWriteIntoSharedRegionReflectsInAllTasks) {
   uint32_t out = 0;
   ASSERT_EQ(child->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
   EXPECT_EQ(out, 0xABCDu);
+}
+
+TEST_F(VmEdgeTest, VmWriteIntoCopyOnWriteRegionWritesAPrivateCopy) {
+  // A kernel-mediated write into a copy-on-write region pushes a private
+  // copy first (§5.5), exactly like a user write: the other side keeps its
+  // bytes. After a kCopy fork…
+  VmOffset addr = task_->VmAllocate(2 * kPage).value();
+  ASSERT_EQ(task_->WriteValue<uint64_t>(addr, 0x1111), KernReturn::kSuccess);
+  std::shared_ptr<Task> child = kernel_->CreateTask(task_);
+  VmStatistics before = task_->VmStats();
+  uint64_t v = 0x2222;
+  ASSERT_EQ(child->VmWrite(addr, &v, sizeof(v)), KernReturn::kSuccess);
+  EXPECT_EQ(task_->VmStats().cow_faults - before.cow_faults, 1u);
+  EXPECT_EQ(task_->ReadValue<uint64_t>(addr).value(), 0x1111u);
+  v = 0x3333;
+  ASSERT_EQ(task_->VmWrite(addr, &v, sizeof(v)), KernReturn::kSuccess);
+  EXPECT_EQ(child->ReadValue<uint64_t>(addr).value(), 0x2222u);
+  EXPECT_EQ(task_->ReadValue<uint64_t>(addr).value(), 0x3333u);
+  child.reset();
+
+  // …and after vm_copy, in either direction.
+  VmOffset dst = task_->VmAllocate(2 * kPage).value();
+  ASSERT_EQ(task_->VmCopy(addr, 2 * kPage, dst), KernReturn::kSuccess);
+  before = task_->VmStats();
+  v = 0x4444;
+  ASSERT_EQ(task_->VmWrite(dst, &v, sizeof(v)), KernReturn::kSuccess);
+  EXPECT_EQ(task_->ReadValue<uint64_t>(addr).value(), 0x3333u);
+  v = 0x5555;
+  ASSERT_EQ(task_->VmWrite(addr, &v, sizeof(v)), KernReturn::kSuccess);
+  EXPECT_EQ(task_->ReadValue<uint64_t>(dst).value(), 0x4444u);
+  EXPECT_EQ(task_->ReadValue<uint64_t>(addr).value(), 0x5555u);
+  EXPECT_EQ(task_->VmStats().cow_faults - before.cow_faults, 2u);
+}
+
+TEST_F(VmEdgeTest, WriteAfterAnOutOfLineSendReachesEverySharer) {
+  // An out-of-line send marks a shared region copy-on-write inside its
+  // sharing map. The next write pushes a private copy there, and every task
+  // sharing the map must read the new bytes, not a stale read-only
+  // translation of the original page.
+  VmOffset addr = task_->VmAllocate(kPage).value();
+  ASSERT_EQ(task_->VmInherit(addr, kPage, VmInherit::kShare), KernReturn::kSuccess);
+  ASSERT_EQ(task_->WriteValue<uint64_t>(addr, 1), KernReturn::kSuccess);
+  std::shared_ptr<Task> child = kernel_->CreateTask(task_);
+  ASSERT_EQ(child->ReadValue<uint64_t>(addr).value(), 1u);  // Mapped in both.
+  auto copy = kernel_->vm().CopyIn(task_->vm_context(), addr, kPage);
+  ASSERT_TRUE(copy.ok());
+  ASSERT_EQ(task_->WriteValue<uint64_t>(addr, 2), KernReturn::kSuccess);
+  EXPECT_EQ(child->ReadValue<uint64_t>(addr).value(), 2u);
+  ASSERT_EQ(child->WriteValue<uint64_t>(addr, 3), KernReturn::kSuccess);
+  EXPECT_EQ(task_->ReadValue<uint64_t>(addr).value(), 3u);
+  // The copy kept the bytes of the moment it was taken.
+  Result<std::vector<std::byte>> bytes = kernel_->vm().CopyAsBytes(copy.value());
+  ASSERT_TRUE(bytes.ok());
+  uint64_t sent = 0;
+  std::memcpy(&sent, bytes.value().data(), sizeof(sent));
+  EXPECT_EQ(sent, 1u);
+  child.reset();
 }
 
 TEST_F(VmEdgeTest, SharedRegionReportedInRegions) {

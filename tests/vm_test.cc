@@ -350,9 +350,17 @@ TEST_F(VmOpsTest, ForkShareInheritanceIsReadWriteShared) {
   ASSERT_EQ(task_->Write(addr, &v, sizeof(v)), KernReturn::kSuccess);
 
   std::shared_ptr<Task> child = kernel_->CreateTask(task_);
+  // The page is resident and active in the shared object, so the child's
+  // fault through the sharing map takes phase 1's fast step: map, sharing
+  // map, object and one hash shard, and no queue lock.
+  VmStatistics before = task_->VmStats();
   uint32_t out = 0;
   ASSERT_EQ(child->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
   EXPECT_EQ(out, 10u);
+  VmStatistics after = task_->VmStats();
+  EXPECT_EQ(after.faults - before.faults, 1u);
+  EXPECT_EQ(after.fast_faults - before.fast_faults, 1u);
+  EXPECT_LE(after.fault_lock_ops - before.fault_lock_ops, 4u);
 
   // Writes propagate both ways (read/write sharing, §3.3).
   uint32_t cv = 20;
@@ -824,10 +832,10 @@ TEST(VmConfigTest, OptimisticLookupOffUsesLockedPathOnly) {
 }
 
 TEST_F(VmOpsTest, KernelReadBatchesQueueOperations) {
-  // vm_read across many freshly zero-filled pages: each page's activation
-  // rides the per-thread batch, so the whole sweep pays for at most
-  // ceil(pages / QueueBatch::kCapacity) queue-lock acquisitions, observable
-  // as queue_batch_flushes.
+  // vm_read across many freshly zero-filled pages: the pages of each pin
+  // batch are activated together, so the whole sweep pays for at most
+  // ceil(pages / PinBatch::kMaxPins) queue-lock acquisitions, observable as
+  // queue_batch_flushes.
   constexpr int kPages = 20;
   VmOffset addr = task_->VmAllocate(kPages * kPage).value();
   std::vector<std::byte> buf(kPages * kPage);
@@ -875,8 +883,9 @@ TEST_F(VmOpsTest, FirstTouchCountsOneFaultAndOneZeroFill) {
   }
 }
 
-// The same with the optimistic tier off: the locked path's phase-1 fast path
-// does the one-pass fill, with the same counts.
+// The same with the optimistic tier off: the locked path runs the same fast
+// step, with the same counts, and claims the slot in one shard acquisition —
+// map, object, shard, page queue.
 TEST(VmConfigTest, FirstTouchWithOptimisticTierOffCountsOnce) {
   Kernel::Config config;
   config.frames = 64;
@@ -886,13 +895,18 @@ TEST(VmConfigTest, FirstTouchWithOptimisticTierOffCountsOnce) {
   Kernel kernel(config);
   std::shared_ptr<Task> task = kernel.CreateTask();
   VmOffset addr = task->VmAllocate(4 * kPage).value();
-  VmStatistics before = task->VmStats();
+  VmStatistics start = task->VmStats();
   for (int p = 0; p < 4; ++p) {
+    VmStatistics before = task->VmStats();
     ASSERT_EQ(task->WriteValue<uint32_t>(addr + p * kPage, 7 + p), KernReturn::kSuccess);
+    VmStatistics after = task->VmStats();
+    if (p > 0) {  // Page 0's fault creates the region's object first.
+      EXPECT_EQ(after.fault_lock_ops - before.fault_lock_ops, 4u) << "page " << p;
+    }
   }
   VmStatistics after = task->VmStats();
-  EXPECT_EQ(after.faults - before.faults, 4u);
-  EXPECT_EQ(after.zero_fill_count - before.zero_fill_count, 4u);
+  EXPECT_EQ(after.faults - start.faults, 4u);
+  EXPECT_EQ(after.zero_fill_count - start.zero_fill_count, 4u);
   EXPECT_EQ(after.map_lookups_optimistic, 0u);
   EXPECT_EQ(task->ReadValue<uint32_t>(addr + 3 * kPage).value(), 10u);
 }
