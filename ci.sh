@@ -2,8 +2,9 @@
 # CI entry point: tier-1 verification plus an optional sanitizer pass.
 #
 #   ./ci.sh            # tier-1: configure, build, ctest, plus the IPC
-#                      # port/right suites, the fault-ahead suites and the
-#                      # pmap teardown race re-run under ASan with leak
+#                      # port/right suites, the fault-ahead suites, the
+#                      # pmap teardown race and the kernel and NetLink
+#                      # teardown races re-run under ASan with leak
 #                      # detection (cycle reclamation and speculative-
 #                      # placeholder sweeps must be leak-clean)
 #   ./ci.sh asan       # tier-1 under ASan+UBSan (-DMACH_SANITIZE=address)
@@ -44,15 +45,18 @@ ipc_leak_lane() {
 # every frame is back on the free list (live in this build) catches it, and
 # LeakSanitizer catches an unreleased message buffer. The lane also runs the
 # sub-second race of a pager call lowering a dying task's mappings, where
-# only ASan sees a pv walk reach a freed pmap.
+# only ASan sees a pv walk reach a freed pmap, and the two teardown races of
+# calls made in the sender's thread: manager calls racing ~VmSystem, and
+# sends through NetLink proxies racing ~NetLink.
 fault_ahead_leak_lane() {
   export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1}
   export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1}
   cmake -B build-asan -S . -DMACH_SANITIZE=address
-  cmake --build build-asan -j "$jobs" --target vm_test pager_test vm_concurrent_test
+  cmake --build build-asan -j "$jobs" --target vm_test pager_test vm_concurrent_test net_test
   ./build-asan/tests/vm_test --gtest_filter='FaultAheadTest.*'
   ./build-asan/tests/pager_test --gtest_filter='FaultAheadPagerTest.*:PagerProtocolValidationTest.*:ExternalPagerTest.ForgedOversizeDataRequestIsRejectedAtTheWire'
-  ./build-asan/tests/vm_concurrent_test --gtest_filter='VmConcurrentTest.PageProtectNeverReachesADeadTasksPmap'
+  ./build-asan/tests/vm_concurrent_test --gtest_filter='VmConcurrentTest.PageProtectNeverReachesADeadTasksPmap:VmConcurrentTest.KernelTeardownRacesManagerProvides'
+  ./build-asan/tests/net_test --gtest_filter='NetTest.SendersRacingLinkTeardownSeeSuccessOrPortDeath'
 }
 
 mode=${1:-tier1}
@@ -73,15 +77,16 @@ case "$mode" in
     # Data-race lane for the VM lock hierarchy: the suites that fault,
     # reclaim, and message concurrently run under ThreadSanitizer, plus the
     # lock-free pmap reads (hw_test), manager teardown order (camelot_test),
-    # and the NetLink forwarders and file server (net_test, fs_test), whose
-    # threads run the kernel's pager handlers. Kept to the concurrency-heavy
+    # the file server (fs_test), and the NetLink suites (net_test,
+    # migrate_test, kernel_server_test), whose senders' threads run the link
+    # and the remote kernel's pager handlers. Kept to the concurrency-heavy
     # binaries — TSan is ~10x, and the full suite runs in the other lanes.
     export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}
-    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test)$'
+    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test|migrate_test|kernel_server_test)$'
     cmake -B build-tsan -S . -DMACH_SANITIZE=thread
     cmake --build build-tsan -j "$jobs" --target \
       hw_test vm_test vm_concurrent_test property_test ipc_property_test shm_test \
-      shm_property_test camelot_test net_test fs_test
+      shm_property_test camelot_test net_test fs_test migrate_test kernel_server_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R "$tsan_suites"
     ;;
   perfbench)

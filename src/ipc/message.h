@@ -72,9 +72,9 @@ class Message {
   // --- Writing (append, in order) -------------------------------------
 
   void PushData(const void* data, size_t len) {
+    const auto* bytes = static_cast<const std::byte*>(data);
     DataItem item;
-    item.bytes.resize(len);
-    std::memcpy(item.bytes.data(), data, len);
+    item.bytes.assign(bytes, bytes + len);
     items_.push_back(std::move(item));
   }
 

@@ -54,9 +54,15 @@ KernReturn Port::Enqueue(Message&& msg, Timeout timeout) {
   IpcFaultMutateRights(&msg);
   // A kernel-owned port serves the message here, in the sender's thread. A
   // dead port falls through to the queue path, which reports kPortDead.
-  if (kernel_object_ && !dead() && kernel_object_(id_, msg)) {
-    return KernReturn::kSuccess;
+  if (kernel_object_ && !dead()) {
+    if (std::optional<KernReturn> served = kernel_object_(*this, msg, timeout)) {
+      return *served;
+    }
   }
+  return Queue(std::move(msg), timeout);
+}
+
+KernReturn Port::Queue(Message&& msg, Timeout timeout) {
   std::shared_ptr<PortSet> set_to_notify;
   {
     std::unique_lock<std::mutex> lock(mu_);

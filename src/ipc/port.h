@@ -13,7 +13,8 @@
 // Kernel-owned ports: a port may carry a kernel-object handler
 // (SetKernelObjectHandler), which Enqueue offers each message to in the
 // sender's thread — the way Mach's kernel serves messages sent to its own
-// ports instead of queueing them for a thread of its own.
+// ports instead of queueing them for a thread of its own. NetLink proxies
+// use the same hook to forward in the sender's thread.
 //
 // Lock order: PortSet::mu_ > Port::mu_. A port reaches the kernel layer only
 // through a kernel-object handler, which runs with no port lock held, so
@@ -34,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,10 +61,15 @@ inline constexpr MsgId kMsgIdNoSenders = 0xDEAD0002;
 // Default queue backlog (Mach's PORT_BACKLOG_DEFAULT).
 inline constexpr size_t kDefaultBacklog = 32;
 
+class Port;
+
 // Serves messages sent to a kernel-owned port in the sender's thread (see
-// Port::SetKernelObjectHandler). Returns true if it consumed `msg`; false
-// leaves `msg` untouched to be queued as usual.
-using KernelObjectHandler = std::function<bool(uint64_t port_id, Message& msg)>;
+// Port::SetKernelObjectHandler), given the sender's timeout. Returns the
+// send's status once it has taken `msg`, or nullopt to leave `msg`
+// untouched, to be queued as usual. A handler that must act after its
+// message is queued queues it itself (Port::Queue).
+using KernelObjectHandler =
+    std::function<std::optional<KernReturn>(Port& port, Message& msg, Timeout timeout)>;
 
 // Snapshot of a port's state (port_status, Table 3-2).
 struct PortStatus {
@@ -87,6 +94,10 @@ class Port : public std::enable_shared_from_this<Port> {
 
   // Enqueues a message; blocks (up to `timeout`) while the backlog is full.
   KernReturn Enqueue(Message&& msg, Timeout timeout);
+
+  // The queue half of Enqueue: no fault points, no kernel-object handler.
+  // On failure `msg` is left to the caller.
+  KernReturn Queue(Message&& msg, Timeout timeout);
 
   // Dequeues the next message; blocks (up to `timeout`) while empty.
   // Fails with kPortDead once the port is destroyed *and* drained.

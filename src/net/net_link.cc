@@ -1,7 +1,10 @@
 #include "src/net/net_link.h"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
+#include <utility>
+#include <variant>
 
 #include "src/base/log.h"
 
@@ -11,6 +14,11 @@ namespace {
 
 // A SACK is a small control frame: sequence range + fragment bitmap.
 constexpr uint64_t kSackFrameBytes = 16;
+
+// The thread's idle tick (one heartbeat per quiet tick) and its bound on a
+// delivery into a full port.
+constexpr std::chrono::milliseconds kTick{20};
+constexpr std::chrono::milliseconds kDeliverTimeout{2000};
 
 // A best-effort copy for duplicate delivery. Receive rights cannot be
 // duplicated (there is one receiver), so a message carrying one is never
@@ -55,21 +63,60 @@ NetLink::NetLink(VmSystem* vm_a, VmSystem* vm_b, SimClock* clock, NetLatencyMode
   b_to_a_.name = "b->a";
   a_to_b_.dst_vm = vm_b;  // Messages entering on A are delivered into B.
   b_to_a_.dst_vm = vm_a;
-  a_to_b_.forwarder = std::thread([this] { ForwarderLoop(a_to_b_, b_to_a_); });
-  b_to_a_.forwarder = std::thread([this] { ForwarderLoop(b_to_a_, a_to_b_); });
+  a_to_b_.reverse = &b_to_a_;
+  b_to_a_.reverse = &a_to_b_;
+  a_to_b_.thread = std::thread([this] { ThreadLoop(a_to_b_); });
+  b_to_a_.thread = std::thread([this] { ThreadLoop(b_to_a_); });
 }
 
 NetLink::~NetLink() {
-  {
-    // Disarm target-death actions first: one may already hold life_->mu and
-    // be walking our maps, in which case this blocks until it finishes.
-    std::lock_guard<std::mutex> g(life_->mu);
-    life_->link = nullptr;
-  }
+  // Proxies die first, so a sender waiting for room on one fails with
+  // kPortDead rather than holding the gate open.
+  KillProxies(a_to_b_);
+  KillProxies(b_to_a_);
+  // Calls in flight finish; later ones decline to their (dead) proxy, and
+  // target-death actions no-op.
+  life_->Close();
   running_.store(false, std::memory_order_release);
-  a_to_b_.forwarder.join();
-  b_to_a_.forwarder.join();
+  for (Direction* dir : {&a_to_b_, &b_to_a_}) {
+    { std::lock_guard<std::mutex> g(dir->wake_mu); }
+    dir->wake_cv.notify_one();
+  }
+  a_to_b_.thread.join();
+  b_to_a_.thread.join();
 }
+
+void NetLink::LifeToken::Close() {
+  open.store(false);
+  for (uint32_t n = inside.load(); n != 0; n = inside.load()) {
+    inside.wait(n);
+  }
+}
+
+class NetLink::LinkCall {
+ public:
+  explicit LinkCall(LifeToken& token) : token_(token) {
+    // Announce the call before checking the gate: Close either sees it
+    // inside or closed the gate first.
+    token_.inside.fetch_add(1);
+    if (token_.open.load()) {
+      link_ = token_.link;
+    }
+  }
+  ~LinkCall() {
+    if (token_.inside.fetch_sub(1) == 1 && !token_.open.load()) {
+      token_.inside.notify_all();
+    }
+  }
+  LinkCall(const LinkCall&) = delete;
+  LinkCall& operator=(const LinkCall&) = delete;
+
+  NetLink* link() const { return link_; }  // Null once the gate is closed.
+
+ private:
+  LifeToken& token_;
+  NetLink* link_ = nullptr;
+};
 
 SendRight NetLink::ProxyForA(SendRight target_on_b) { return MakeProxy(a_to_b_, std::move(target_on_b)); }
 
@@ -79,58 +126,107 @@ SendRight NetLink::MakeProxy(Direction& dir, SendRight target) {
   if (!target.valid()) {
     return SendRight();
   }
-  SendRight proxy;
   {
     std::lock_guard<std::mutex> g(dir.mu);
     auto it = dir.proxies_by_target.find(target.id());
     if (it != dir.proxies_by_target.end()) {
       return it->second;
     }
-    PortPair pair = PortAllocate("netproxy:" + target.label());
-    pair.receive.port()->SetBacklog(1024);
-    proxy = pair.send;
-    dir.proxies_by_target.emplace(target.id(), pair.send);
-    dir.target_by_proxy.emplace(pair.send.id(), target);
-    dir.set->Add(pair.receive);
-    dir.receives.push_back(std::move(pair.receive));
   }
-  // Propagate target death eagerly: remote senders observe port death the
-  // moment the real port dies, not whenever the next forward fails.
-  // Registered outside dir.mu — an already-dead target fires the action
-  // synchronously, and OnTargetDead retakes dir.mu. The action captures no
-  // port rights (PortGc cannot see into it); the token gates ~NetLink.
+  PortPair pair = PortAllocate("netproxy:" + target.label());
+  pair.receive.port()->SetBacklog(1024);
+  // Installed before the send right leaves: every send to the proxy runs
+  // the link's handler. It captures no port rights (PortGc cannot see into
+  // it); the token gates ~NetLink.
   Direction* dir_ptr = &dir;
-  const uint64_t target_id = target.id();
-  target.port()->AddDeathAction(
-      [life = life_, dir_ptr, target_id](uint64_t) {
-        std::lock_guard<std::mutex> g(life->mu);
-        if (life->link != nullptr) {
-          life->link->OnTargetDead(*dir_ptr, target_id);
+  pair.receive.port()->SetKernelObjectHandler(
+      [life = life_, dir_ptr](Port& port, Message& msg,
+                              Timeout timeout) -> std::optional<KernReturn> {
+        LinkCall call(*life);
+        if (call.link() == nullptr) {
+          return std::nullopt;  // Queued on the proxy, which dies with the link.
         }
+        return call.link()->OnProxySend(*dir_ptr, port, msg, timeout);
       });
-  return proxy;
-}
-
-void NetLink::OnTargetDead(Direction& dir, uint64_t target_id) {
-  std::lock_guard<std::mutex> g(dir.mu);
-  auto it = dir.proxies_by_target.find(target_id);
-  if (it == dir.proxies_by_target.end()) {
-    return;  // Already cleaned up (forward failure or peer-dead sweep).
-  }
-  const uint64_t proxy_id = it->second.id();
-  for (auto rit = dir.receives.begin(); rit != dir.receives.end(); ++rit) {
-    if (rit->id() == proxy_id) {
-      dir.set->Remove(*rit);
-      rit->Destroy();
-      dir.receives.erase(rit);
-      break;
+  dir.set->Add(pair.receive);
+  SendRight existing;
+  {
+    std::lock_guard<std::mutex> g(dir.mu);
+    auto it = dir.proxies_by_target.find(target.id());
+    if (it != dir.proxies_by_target.end()) {
+      existing = it->second;  // Another thread exported the target first.
+    } else {
+      dir.proxies_by_target.emplace(target.id(), pair.send);
+      dir.target_by_proxy.emplace(pair.send.id(), target);
+      dir.receives.push_back(std::move(pair.receive));
     }
   }
-  dir.target_by_proxy.erase(proxy_id);
-  dir.proxies_by_target.erase(it);
+  if (existing.valid()) {
+    dir.set->Remove(pair.receive);
+    return existing;  // The unused proxy dies here.
+  }
+  // Propagate target death eagerly: remote senders observe port death the
+  // moment the real port dies, not whenever the next forward fails. An
+  // already-dead target fires the action here, synchronously.
+  const uint64_t target_id = target.id();
+  target.port()->AddDeathAction([life = life_, dir_ptr, target_id](uint64_t) {
+    LinkCall call(*life);
+    if (call.link() != nullptr) {
+      call.link()->KillProxy(*dir_ptr, target_id);
+    }
+  });
+  return pair.send;
 }
 
-SendRight NetLink::RewriteRight(Direction& dir, Direction& reverse, SendRight right) {
+void NetLink::KillProxy(Direction& dir, uint64_t target_id) {
+  SendRight proxy;
+  SendRight target;
+  ReceiveRight receive;
+  {
+    std::lock_guard<std::mutex> g(dir.mu);
+    auto it = dir.proxies_by_target.find(target_id);
+    if (it == dir.proxies_by_target.end()) {
+      return;  // Already gone (an earlier kill or the peer-dead sweep).
+    }
+    proxy = std::move(it->second);
+    dir.proxies_by_target.erase(it);
+    auto target_it = dir.target_by_proxy.find(proxy.id());
+    if (target_it != dir.target_by_proxy.end()) {
+      target = std::move(target_it->second);
+      dir.target_by_proxy.erase(target_it);
+    }
+    auto receive_it = std::find_if(dir.receives.begin(), dir.receives.end(),
+                                   [&](const ReceiveRight& r) { return r.id() == proxy.id(); });
+    if (receive_it != dir.receives.end()) {
+      receive = std::move(*receive_it);
+      dir.receives.erase(receive_it);
+    }
+  }
+  // Outside dir.mu: destroying a right re-enters its port.
+  dir.set->Remove(receive);
+  receive.Destroy();
+}
+
+void NetLink::KillProxies(Direction& dir) {
+  // Destroying the receive rights marks every proxy port dead; their death
+  // notifications fan out to whoever registered (kernels resolve parked
+  // faulters per OnPagerTimeout policy, data managers get OnPortDeath).
+  std::unordered_map<uint64_t, SendRight> proxies;
+  std::unordered_map<uint64_t, SendRight> targets;
+  std::vector<ReceiveRight> receives;
+  {
+    std::lock_guard<std::mutex> g(dir.mu);
+    proxies.swap(dir.proxies_by_target);
+    targets.swap(dir.target_by_proxy);
+    receives.swap(dir.receives);
+  }
+  for (ReceiveRight& r : receives) {
+    dir.set->Remove(r);
+    r.Destroy();
+  }
+}
+
+SendRight NetLink::RewriteRight(Direction& dir, SendRight right) {
   if (!right.valid()) {
     return right;
   }
@@ -145,54 +241,134 @@ SendRight NetLink::RewriteRight(Direction& dir, Direction& reverse, SendRight ri
   }
   // Otherwise the port lives on the source side: give the destination a
   // reverse-direction proxy so its replies cross the link too.
-  return MakeProxy(reverse, std::move(right));
+  return MakeProxy(*dir.reverse, std::move(right));
 }
 
-void NetLink::ForwarderLoop(Direction& dir, Direction& reverse) {
+std::optional<KernReturn> NetLink::OnProxySend(Direction& dir, Port& proxy, Message& msg,
+                                               Timeout timeout) {
+  // `pending` before `busy`: the thread sets busy before it clears pending,
+  // so a sender that finds pending clear after work was queued finds the
+  // thread busy until that work is done.
+  const bool carries_ool = std::any_of(msg.items().begin(), msg.items().end(),
+                                       [](const MsgItem& item) {
+                                         return std::holds_alternative<OolItem>(item);
+                                       });
+  if (!dir.pending.load() && !dir.busy.load() && !carries_ool) {
+    return Forward(dir, proxy.id(), std::move(msg), /*in_sender=*/true);
+  }
+  // Otherwise the message waits for the direction's thread, queued on the
+  // proxy, whose backlog refuses a polling sender when full.
+  KernReturn kr = proxy.Queue(std::move(msg), timeout);
+  if (IsOk(kr)) {
+    Wake(dir);
+  }
+  return kr;
+}
+
+void NetLink::Wake(Direction& dir) {
+  {
+    std::lock_guard<std::mutex> g(dir.wake_mu);
+    dir.pending.store(true);
+  }
+  dir.wake_cv.notify_one();
+}
+
+void NetLink::ThreadLoop(Direction& dir) {
   while (running_.load(std::memory_order_acquire)) {
-    Result<PortSet::ReceivedMessage> got = dir.set->ReceiveFrom(std::chrono::milliseconds(20));
-    if (!got.ok()) {
-      if (faults_.failure_detector) {
-        // Idle: probe the peer. Heartbeats are control-plane only — they
-        // consult the partition switch but never the injector (their count
-        // depends on wall-clock idle time, which would perturb the
-        // deterministic per-point fault sequences) and charge no virtual
-        // latency. They are what pushes a quiet partitioned direction over
-        // the peer-dead threshold, and what heals it after SetPartitioned.
-        heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
-        NoteRoundOutcome(dir, !partitioned());
+    {
+      std::unique_lock<std::mutex> lk(dir.wake_mu);
+      const bool woken = dir.wake_cv.wait_for(lk, kTick, [&] {
+        return dir.pending.load() || !running_.load(std::memory_order_acquire);
+      });
+      if (!running_.load(std::memory_order_acquire)) {
+        return;
       }
-      continue;
+      if (!woken) {
+        lk.unlock();
+        Tick(dir);
+        continue;
+      }
+      dir.busy.store(true);
+      dir.pending.store(false);
     }
-    Forward(dir, reverse, got.value().port_id, std::move(got.value().message));
+    for (;;) {
+      Result<PortSet::ReceivedMessage> got = dir.set->ReceiveFrom(kPoll);
+      // Whatever was handed off before `got` was queued goes first.
+      DeliverHandedOff(dir);
+      if (!got.ok()) {
+        break;
+      }
+      Forward(dir, got.value().port_id, std::move(got.value().message), /*in_sender=*/false);
+    }
+    dir.busy.store(false);
   }
 }
 
-void NetLink::Forward(Direction& dir, Direction& reverse, uint64_t proxy_id, Message&& msg) {
-  SendRight target;
+void NetLink::DeliverHandedOff(Direction& dir) {
+  for (;;) {
+    Crossed crossed;
+    {
+      std::lock_guard<std::mutex> g(dir.wake_mu);
+      if (dir.undelivered.empty()) {
+        return;
+      }
+      crossed = std::move(dir.undelivered.front());
+      dir.undelivered.pop_front();
+    }
+    Deliver(dir, std::move(crossed), kDeliverTimeout);
+  }
+}
+
+void NetLink::Tick(Direction& dir) {
+  if (!faults_.failure_detector) {
+    return;
+  }
+  bool peer_died = false;
+  {
+    std::lock_guard<std::mutex> g(dir.wire_mu);
+    if (std::exchange(dir.crossed, false)) {
+      return;  // Not idle: traffic stands in for the probe.
+    }
+    // Idle: probe the peer. Heartbeats are control-plane only — they
+    // consult the partition switch but never the injector (their count
+    // depends on wall-clock idle time, which would perturb the
+    // deterministic per-point fault sequences) and charge no virtual
+    // latency. They are what pushes a quiet partitioned direction over the
+    // peer-dead threshold, and what heals it after SetPartitioned.
+    heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
+    peer_died = NoteRoundOutcome(dir, !partitioned());
+  }
+  if (peer_died) {
+    KillProxies(dir);
+  }
+}
+
+KernReturn NetLink::Forward(Direction& dir, uint64_t proxy_id, Message&& msg, bool in_sender) {
+  Crossed crossed;
   {
     std::lock_guard<std::mutex> g(dir.mu);
     auto it = dir.target_by_proxy.find(proxy_id);
     if (it == dir.target_by_proxy.end()) {
-      return;
+      return KernReturn::kPortDead;  // The proxy is being killed.
     }
-    target = it->second;
+    crossed.target = it->second;
   }
-  uint64_t payload_bytes = msg.InlineSize();
+  crossed.payload_bytes = msg.InlineSize();
 
   // Rewrite the reply port and all port rights in the body.
-  msg.set_reply_port(RewriteRight(dir, reverse, msg.reply_port()));
+  msg.set_reply_port(RewriteRight(dir, msg.reply_port()));
   for (MsgItem& item : msg.items()) {
     if (auto* port_item = std::get_if<PortItem>(&item)) {
-      port_item->right = RewriteRight(dir, reverse, std::move(port_item->right));
+      port_item->right = RewriteRight(dir, std::move(port_item->right));
     } else if (auto* ool = std::get_if<OolItem>(&item)) {
       // Out-of-line memory crosses the wire as bytes and is rebuilt as
-      // fresh memory in the destination kernel.
+      // fresh memory in the destination kernel (only ever on the thread:
+      // the rebuild may wait for frames).
       auto copy = std::static_pointer_cast<VmMapCopy>(ool->copy);
       if (copy != nullptr && copy->system() != nullptr) {
         Result<std::vector<std::byte>> flat = copy->system()->CopyAsBytes(copy);
         if (flat.ok()) {
-          payload_bytes += flat.value().size();
+          crossed.payload_bytes += flat.value().size();
           Result<std::shared_ptr<VmMapCopy>> rebuilt =
               dir.dst_vm->CopyFromBytes(flat.value().data(), flat.value().size());
           if (rebuilt.ok()) {
@@ -211,60 +387,84 @@ void NetLink::Forward(Direction& dir, Direction& reverse, uint64_t proxy_id, Mes
   // reliable mode, a single all-or-nothing traversal otherwise. A message
   // that does not make it is counted lost exactly once, here and only here
   // — attempt-level drops accumulate separately in messages_dropped.
-  const uint64_t seq = dir.next_seq++;
-  const bool on_wire =
-      faults_.reliable ? SendReliable(dir, payload_bytes) : Transmit(payload_bytes);
-  if (!on_wire) {
-    lost_.fetch_add(1, std::memory_order_relaxed);
+  bool on_wire = false;
+  bool peer_died = false;
+  {
+    std::lock_guard<std::mutex> g(dir.wire_mu);
+    dir.crossed = true;
+    crossed.seq = dir.next_seq++;
+    on_wire = faults_.reliable ? SendReliable(dir, crossed.payload_bytes, &peer_died)
+                               : Transmit(crossed.payload_bytes);
+    if (on_wire) {
+      // The wire may deliver the message twice; clone it before the
+      // original is moved out for delivery.
+      if (faults_.injector != nullptr && faults_.injector->ShouldFail(kFaultDuplicate)) {
+        crossed.duplicate = CloneMessage(msg);
+      }
+      messages_.fetch_add(1, std::memory_order_relaxed);
+      bytes_.fetch_add(crossed.payload_bytes, std::memory_order_relaxed);
+    } else {
+      lost_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (peer_died) {
+    KillProxies(dir);
+  }
+  if (on_wire) {
+    crossed.msg = std::move(msg);
+    Deliver(dir, std::move(crossed), in_sender ? Timeout(kPoll) : kDeliverTimeout);
+  }
+  return KernReturn::kSuccess;
+}
+
+void NetLink::Deliver(Direction& dir, Crossed&& crossed, Timeout timeout) {
+  const KernReturn kr = MsgSend(crossed.target, std::move(crossed.msg), timeout);
+  if (kr == KernReturn::kPortFull && timeout == kPoll) {
+    // No room, and the sender's thread must not wait: the message is left
+    // to us (a failed send does not consume it) for the thread to deliver.
+    {
+      std::lock_guard<std::mutex> g(dir.wake_mu);
+      dir.undelivered.push_back(std::move(crossed));
+    }
+    Wake(dir);
     return;
   }
-
-  // The wire may deliver the message twice; clone it before the original
-  // is moved out for delivery.
-  std::optional<Message> duplicate;
-  if (faults_.injector != nullptr && faults_.injector->ShouldFail(kFaultDuplicate)) {
-    duplicate = CloneMessage(msg);
-  }
-
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-
-  KernReturn kr = MsgSend(target, std::move(msg), std::chrono::milliseconds(2000));
   if (IsOk(kr)) {
     // Receiver-side cumulative ack: advances only when a message is
     // actually delivered.
-    dir.delivered_up_to = seq;
+    std::lock_guard<std::mutex> g(dir.wire_mu);
+    dir.delivered_up_to = std::max(dir.delivered_up_to, crossed.seq);
   }
 
   // The duplicate trails the original and has to survive the wire itself.
-  if (duplicate.has_value() && kr != KernReturn::kPortDead && Transmit(payload_bytes)) {
-    if (faults_.reliable && seq <= dir.delivered_up_to) {
-      // The cumulative ack already covers this sequence number: the
-      // reliable receiver suppresses the replay.
-      dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      duplicated_.fetch_add(1, std::memory_order_relaxed);
-      MsgSend(target, std::move(duplicate).value(), std::chrono::milliseconds(2000));
+  if (crossed.duplicate.has_value() && kr != KernReturn::kPortDead) {
+    bool replayed = false;
+    {
+      std::lock_guard<std::mutex> g(dir.wire_mu);
+      if (Transmit(crossed.payload_bytes)) {
+        if (faults_.reliable && crossed.seq <= dir.delivered_up_to) {
+          // The cumulative ack already covers this sequence number: the
+          // reliable receiver suppresses the replay.
+          dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          duplicated_.fetch_add(1, std::memory_order_relaxed);
+          replayed = true;
+        }
+      }
+    }
+    if (replayed) {
+      // A polling replay that finds no room is dropped, as the wire may be.
+      MsgSend(crossed.target, std::move(crossed.duplicate).value(), timeout);
     }
   }
 
   if (kr == KernReturn::kPortDead) {
     // Target died: kill the proxy so senders see port death too.
-    std::lock_guard<std::mutex> g(dir.mu);
-    for (auto it = dir.receives.begin(); it != dir.receives.end(); ++it) {
-      if (it->id() == proxy_id) {
-        dir.set->Remove(*it);
-        it->Destroy();
-        dir.receives.erase(it);
-        break;
-      }
-    }
-    dir.target_by_proxy.erase(proxy_id);
-    dir.proxies_by_target.erase(target.id());
+    KillProxy(dir, crossed.target.id());
   }
 }
 
-bool NetLink::SendReliable(Direction& dir, uint64_t payload_bytes) {
+bool NetLink::SendReliable(Direction& dir, uint64_t payload_bytes, bool* peer_died) {
   const uint64_t frag_size = std::max<uint64_t>(1, faults_.fragment_bytes);
   const uint64_t frag_count = std::max<uint64_t>(1, (payload_bytes + frag_size - 1) / frag_size);
   const uint32_t window = std::max<uint32_t>(1, faults_.window_fragments);
@@ -378,8 +578,8 @@ bool NetLink::SendReliable(Direction& dir, uint64_t payload_bytes) {
       return true;
     }
     // Unacked fragments remain: the retransmission timer fires.
-    if (faults_.failure_detector) {
-      NoteRoundOutcome(dir, false);
+    if (faults_.failure_detector && NoteRoundOutcome(dir, false)) {
+      *peer_died = true;
     }
     if (pass >= faults_.max_retransmits) {
       return false;  // Budget exhausted; the caller counts the loss once.
@@ -478,14 +678,14 @@ void NetLink::UpdateRtt(Direction& dir, uint64_t sample_ns) {
   dir.rto_ns.store(ClampRto(dir.srtt_ns + 4 * dir.rttvar_ns), std::memory_order_relaxed);
 }
 
-void NetLink::NoteRoundOutcome(Direction& dir, bool ok) {
+bool NetLink::NoteRoundOutcome(Direction& dir, bool ok) {
   if (ok) {
     dir.consecutive_timeouts.store(0, std::memory_order_relaxed);
     // Any successful round heals — including from kPeerDead after the
     // partition is lifted. (Proxies killed meanwhile stay dead; callers
     // mint fresh ones.)
     dir.health.store(LinkHealth::kUp, std::memory_order_release);
-    return;
+    return false;
   }
   const uint32_t timeouts = dir.consecutive_timeouts.fetch_add(1, std::memory_order_relaxed) + 1;
   const LinkHealth health = dir.health.load(std::memory_order_acquire);
@@ -494,24 +694,12 @@ void NetLink::NoteRoundOutcome(Direction& dir, bool ok) {
     peer_dead_events_.fetch_add(1, std::memory_order_relaxed);
     MACH_LOG(kDebug) << "net link " << dir.name << ": peer declared dead after " << timeouts
                      << " consecutive timeouts";
-    KillProxies(dir);
-  } else if (timeouts >= faults_.degraded_after_timeouts && health == LinkHealth::kUp) {
+    return true;
+  }
+  if (timeouts >= faults_.degraded_after_timeouts && health == LinkHealth::kUp) {
     dir.health.store(LinkHealth::kDegraded, std::memory_order_release);
   }
-}
-
-void NetLink::KillProxies(Direction& dir) {
-  // Destroying the receive rights marks every proxy port dead; their death
-  // notifications fan out to whoever registered (kernels resolve parked
-  // faulters per OnPagerTimeout policy, data managers get OnPortDeath).
-  std::lock_guard<std::mutex> g(dir.mu);
-  for (ReceiveRight& r : dir.receives) {
-    dir.set->Remove(r);
-    r.Destroy();
-  }
-  dir.receives.clear();
-  dir.target_by_proxy.clear();
-  dir.proxies_by_target.clear();
+  return false;
 }
 
 NetLink::LinkDirectionStatus NetLink::StatusOf(const Direction& dir) const {

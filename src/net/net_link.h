@@ -3,12 +3,23 @@
 // token rings of the paper's NORMA configurations (and, with near-zero
 // latency, the switch of a NUMA or the bus of a UMA).
 //
-// A proxy is a real port whose receive right the link holds; a forwarder
-// thread relays each message to the target port on the other host, charging
-// the latency model, rewriting port rights so replies come back through the
-// link, and flattening out-of-line memory into bytes on the wire (rebuilt as
-// fresh memory in the destination kernel — network copy-on-reference is
-// built on top of this by the migration manager).
+// A proxy is a real port whose receive right the link holds. Every proxy
+// carries a kernel-object handler (the hook the kernel's own ports use), so
+// a send to it runs the forward step in the sender's thread: rewrite port
+// rights so replies come back through the link, cross the latency model,
+// and deliver to the target port on the other host. A remote page-in is
+// then one thread handoff each way, and a manager's call to a remote kernel
+// has taken effect when its msg_send returns.
+//
+// Each direction keeps one thread, for the work that may wait: delivering
+// into a full port, flattening out-of-line memory into bytes on the wire
+// (rebuilt as fresh memory in the destination kernel — network
+// copy-on-reference is built on top of this by the migration manager), and
+// the failure detector's idle heartbeats. A message that cannot be
+// delivered without waiting is queued on its proxy for that thread, and so
+// is every later message of its direction until the thread has caught up:
+// no message overtakes an earlier one. A proxy's queue keeps its backlog,
+// so a full proxy still refuses a polling sender.
 //
 // §7 gives the regimes: remote access ≈ sub-microsecond on a MultiMax-class
 // UMA, ≈5 µs through a Butterfly-class NUMA switch (≈10x local), and
@@ -42,9 +53,12 @@
 #define SRC_NET_NET_LINK_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -183,55 +197,103 @@ class NetLink {
   uint64_t heartbeats_sent() const { return heartbeats_sent_.load(std::memory_order_relaxed); }
 
  private:
-  // One direction of the link.
+  // A message past the wire, on its way to the target.
+  struct Crossed {
+    SendRight target;
+    Message msg;
+    std::optional<Message> duplicate;  // The wire's replay, trailing `msg`.
+    uint64_t seq = 0;
+    uint64_t payload_bytes = 0;
+  };
+
+  // One direction of the link. Its locks are leaves below the VM tiers: a
+  // kPoll sender may forward under an object lock, and nothing that sends,
+  // destroys a right or enters a kernel runs under them.
   struct Direction {
     const char* name = "";
     VmSystem* dst_vm = nullptr;  // OOL is rebuilt into this kernel.
+    Direction* reverse = nullptr;
     std::shared_ptr<PortSet> set = PortSet::Create();
+    // Guards the proxy maps.
     std::mutex mu;
     // target port id -> proxy (cached so a port exports to one proxy).
     std::unordered_map<uint64_t, SendRight> proxies_by_target;
     // proxy port id -> target (for forwarding and reverse unwrapping).
     std::unordered_map<uint64_t, SendRight> target_by_proxy;
     std::vector<ReceiveRight> receives;
-    std::thread forwarder;
-    // Reliable mode (forwarder-thread-only): next sequence number stamped
-    // on the wire, and the receiver's cumulative ack. Delivery is in-order
-    // per direction, so "seq <= delivered_up_to" detects any duplicate.
+    // Wire state, guarded by wire_mu, which is held only while a message or
+    // heartbeat crosses the wire model, never during delivery. Reliable
+    // mode stamps next_seq on the wire; delivered_up_to is the receiver's
+    // cumulative ack, so "seq <= delivered_up_to" detects a replay (it
+    // advances by max: concurrent senders deliver out of sequence order).
+    // srtt/rttvar: the RTT estimator (RFC 6298 shape over virtual time).
+    // `crossed`: a message crossed since the last heartbeat tick.
+    std::mutex wire_mu;
     uint64_t next_seq = 1;
     uint64_t delivered_up_to = 0;
-    // RTT estimator (forwarder-thread-only; RFC 6298 shape over virtual
-    // time). rto_ns is mirrored atomically for cross-thread observability.
     uint64_t srtt_ns = 0;
     uint64_t rttvar_ns = 0;
-    // Failure-detector state. Written only by this direction's forwarder
-    // thread; read from anywhere.
+    bool crossed = false;
+    // Failure-detector state, written under wire_mu; read from anywhere.
+    // rto_ns is the estimator's current RTO.
     std::atomic<LinkHealth> health{LinkHealth::kUp};
     std::atomic<uint32_t> consecutive_timeouts{0};
     std::atomic<uint64_t> rto_ns{0};
+    // The direction's thread and its work: messages queued on the proxies,
+    // and crossed ones whose target was full (`undelivered`, guarded by
+    // wake_mu). A sender forwards in its own thread only while `pending`
+    // and `busy` are both clear. `pending` is set once work is queued and
+    // cleared when the thread picks it up; `busy` is set before the thread
+    // picks anything up and cleared once it finds nothing left.
+    std::mutex wake_mu;
+    std::condition_variable wake_cv;
+    std::deque<Crossed> undelivered;
+    std::atomic<bool> pending{false};
+    std::atomic<bool> busy{false};
+    std::thread thread;
   };
 
-  // NetLink is not shared_ptr-managed, but proxy-target death actions can
-  // outlive it; they hold this token and no-op once `link` is cleared.
+  // The gate for calls into the link from other threads: proxy handlers and
+  // target-death actions. Calls nest (a delivery may re-enter the link);
+  // ~NetLink closes the gate and waits for the calls inside, so a call
+  // racing it either finishes first or declines. The token outlives the
+  // link: proxies and targets hold it.
   struct LifeToken {
-    std::mutex mu;
+    std::atomic<bool> open{true};
+    std::atomic<uint32_t> inside{0};
     NetLink* link = nullptr;
+    void Close();
   };
+  class LinkCall;  // One call through the gate (net_link.cc).
 
   SendRight MakeProxy(Direction& dir, SendRight target);
-  // Rewrites a port right crossing the link in direction `dir` (whose
-  // reverse is `reverse`): unwrap if it is already one of `dir`'s proxies,
-  // otherwise wrap it in a reverse-direction proxy.
-  SendRight RewriteRight(Direction& dir, Direction& reverse, SendRight right);
-  void ForwarderLoop(Direction& dir, Direction& reverse);
-  void Forward(Direction& dir, Direction& reverse, uint64_t proxy_id, Message&& msg);
+  // Rewrites a port right crossing the link in direction `dir`: unwrap it if
+  // it is one of `dir`'s proxies, otherwise wrap it in a reverse proxy.
+  SendRight RewriteRight(Direction& dir, SendRight right);
+  // A proxy's handler: forwards `msg` in the sender's thread when nothing of
+  // its direction waits, otherwise queues it on the proxy for the thread.
+  std::optional<KernReturn> OnProxySend(Direction& dir, Port& proxy, Message& msg,
+                                        Timeout timeout);
+  // The forward step: rewrite rights, flatten OOL (the thread only), cross
+  // the wire, deliver. kPortDead if the proxy is no longer mapped.
+  KernReturn Forward(Direction& dir, uint64_t proxy_id, Message&& msg, bool in_sender);
+  // Delivers a crossed message (then its replay, if any). A polling
+  // delivery that finds the target full hands the message to the thread.
+  void Deliver(Direction& dir, Crossed&& crossed, Timeout timeout);
+  // Marks work pending for `dir`'s thread and wakes it.
+  void Wake(Direction& dir);
+  void ThreadLoop(Direction& dir);
+  void DeliverHandedOff(Direction& dir);
+  // A heartbeat tick: probes the peer if no message crossed since the last.
+  void Tick(Direction& dir);
   // One wire traversal of a whole (unreliable) message: charges latency and
   // decides drop/delay. Returns false if the transmission was dropped.
   bool Transmit(uint64_t payload_bytes);
   // Reliable fragmented transport for one message. Returns false when the
   // retransmit budget is exhausted with fragments still missing; the caller
-  // counts the loss (exactly once).
-  bool SendReliable(Direction& dir, uint64_t payload_bytes);
+  // counts the loss (exactly once). Sets *peer_died if the failure detector
+  // declared the peer dead meanwhile. Caller holds dir.wire_mu.
+  bool SendReliable(Direction& dir, uint64_t payload_bytes, bool* peer_died);
   // One fragment on the wire: latency + data-plane fault points.
   bool TransmitFragment(uint64_t fragment_bytes);
   // One SACK control frame back: latency + net.ack_drop only.
@@ -239,15 +301,17 @@ class NetLink {
   void UpdateRtt(Direction& dir, uint64_t sample_ns);
   uint64_t ClampRto(uint64_t rto) const;
   uint64_t CurrentRto(const Direction& dir) const;
-  // Failure detector: called by `dir`'s forwarder for every transport round
-  // (RTO expiry = false, completed message = true) and heartbeat probe.
-  void NoteRoundOutcome(Direction& dir, bool ok);
-  // Kills every proxy in `dir` (peer declared dead): their death
-  // notifications fan out to kernels and data managers holding them.
+  // Failure detector: fed every transport round (RTO expiry = false,
+  // completed message = true) and heartbeat probe, under dir.wire_mu.
+  // Returns true when it has just declared the peer dead; the caller then
+  // kills the proxies, after releasing wire_mu.
+  bool NoteRoundOutcome(Direction& dir, bool ok);
+  // Kills every proxy in `dir` (peer declared dead, or the link is going
+  // away): their death notifications fan out to kernels and data managers.
   void KillProxies(Direction& dir);
-  // Eager cross-link death propagation: the real target died, so its proxy
-  // dies too (instead of waiting for the next forward to fail).
-  void OnTargetDead(Direction& dir, uint64_t target_id);
+  // Kills the proxy for `target_id`: its target died, so senders must see
+  // port death too (eagerly, from a death action, or on a failed delivery).
+  void KillProxy(Direction& dir, uint64_t target_id);
   LinkDirectionStatus StatusOf(const Direction& dir) const;
 
   SimClock* const clock_;

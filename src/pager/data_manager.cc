@@ -236,7 +236,8 @@ KernReturn DataManager::ProvideData(const SendRight& request_port, VmOffset offs
   args.offset = offset;
   args.data = std::move(data);
   args.lock_value = lock_value;
-  return MsgSend(request_port, EncodePagerDataProvided(args), std::chrono::milliseconds(2000));
+  return MsgSend(request_port, EncodePagerDataProvided(std::move(args)),
+                 std::chrono::milliseconds(2000));
 }
 
 KernReturn DataManager::DataUnavailable(const SendRight& request_port, VmOffset offset,

@@ -1,6 +1,7 @@
 #include "src/pager/protocol.h"
 
 #include <cassert>
+#include <utility>
 
 namespace mach {
 
@@ -61,10 +62,10 @@ Result<PagerDataRequestArgs> DecodePagerDataRequest(Message& msg,
   return args;
 }
 
-Message EncodePagerDataWrite(const PagerDataWriteArgs& args) {
+Message EncodePagerDataWrite(PagerDataWriteArgs args) {
   Message msg(kMsgPagerDataWrite);
   msg.PushU64(args.offset);
-  msg.PushData(args.data.data(), args.data.size());
+  msg.PushBytes(std::move(args.data));
   return msg;
 }
 
@@ -152,10 +153,10 @@ Result<PagerCreateArgs> DecodePagerCreate(Message& msg) {
   return args;
 }
 
-Message EncodePagerDataProvided(const PagerDataProvidedArgs& args) {
+Message EncodePagerDataProvided(PagerDataProvidedArgs args) {
   Message msg(kMsgPagerDataProvided);
   msg.PushU64(args.offset);
-  msg.PushData(args.data.data(), args.data.size());
+  msg.PushBytes(std::move(args.data));
   msg.PushU32(args.lock_value);
   return msg;
 }

@@ -173,11 +173,13 @@ struct ShmRegionInfoArgs {
 
 Message EncodePagerInit(const PagerInitArgs& args);
 Message EncodePagerDataRequest(const PagerDataRequestArgs& args);
-Message EncodePagerDataWrite(const PagerDataWriteArgs& args);
+// The two page-run carriers take their args by value and move the run into
+// the message: pass an rvalue and the pages are never copied.
+Message EncodePagerDataWrite(PagerDataWriteArgs args);
 Message EncodePagerDataUnlock(const PagerDataUnlockArgs& args);
 Message EncodePagerLockCompleted(const PagerLockCompletedArgs& args);
 Message EncodePagerCreate(PagerCreateArgs args);
-Message EncodePagerDataProvided(const PagerDataProvidedArgs& args);
+Message EncodePagerDataProvided(PagerDataProvidedArgs args);
 Message EncodePagerDataLock(const PagerDataLockArgs& args);
 Message EncodePagerFlushRequest(const PagerRangeArgs& args);
 Message EncodePagerCleanRequest(const PagerRangeArgs& args);

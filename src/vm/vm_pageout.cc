@@ -367,15 +367,15 @@ VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
   const VmSize ps = page_size();
   PagerDataWriteArgs args;
   args.offset = run.front()->offset;
-  // Copy (rather than move into the message): the parking fallback below
-  // may still need the data.
+  // The run moves into the message; the frames stay resident under the
+  // object lock, so the parking fallback below re-reads them instead.
   args.data.resize(run.size() * ps);
   for (size_t i = 0; i < run.size(); ++i) {
     phys_->ReadFrame(run[i]->frame, 0, args.data.data() + i * ps, ps);
   }
   counters_.pageout_runs.fetch_add(1, std::memory_order_relaxed);
   counters_.pageout_run_pages.fetch_add(run.size(), std::memory_order_relaxed);
-  if (IsOk(MsgSend(object->pager, EncodePagerDataWrite(args), kPoll))) {
+  if (IsOk(MsgSend(object->pager, EncodePagerDataWrite(std::move(args)), kPoll))) {
     counters_.pageouts.fetch_add(run.size(), std::memory_order_relaxed);
     // The pager now holds these offsets: chain collapse must account for
     // them even though no pages are resident.
@@ -387,12 +387,12 @@ VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
   // The manager did not accept the data (queue full / port dead).
   if (park_on_failure && config_.errant_manager_protection && parking_ != nullptr) {
     // §6.2.2: divert to the default pager so pageout is never starved. The
-    // parking store is per-page; the run is split back up for it.
-    for (size_t i = 0; i < run.size(); ++i) {
-      std::vector<std::byte> page_data(args.data.begin() + static_cast<ptrdiff_t>(i * ps),
-                                       args.data.begin() + static_cast<ptrdiff_t>((i + 1) * ps));
-      parking_->Park(object->id(), run[i]->offset, std::move(page_data));
-      object->parked_offsets[run[i]->offset] = true;
+    // parking store is per-page; each frame is read again for it.
+    for (VmPage* page : run) {
+      std::vector<std::byte> page_data(ps);
+      phys_->ReadFrame(page->frame, 0, page_data.data(), ps);
+      parking_->Park(object->id(), page->offset, std::move(page_data));
+      object->parked_offsets[page->offset] = true;
     }
     counters_.parked_pageouts.fetch_add(run.size(), std::memory_order_relaxed);
     return RunWriteResult::kParked;
@@ -403,20 +403,22 @@ VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
 // --- data manager -> kernel calls (Table 3-6) -------------------------------
 
 void VmSystem::InstallPagerRequestHandler(const ReceiveRight& request) {
-  request.port()->SetKernelObjectHandler([guard = kernel_calls_](uint64_t port_id, Message& msg) {
-    // Only the Table 3-6 ids, which the kernel never sends itself: a kernel
-    // thread holding VM locks can then never enter a handler, even when an
-    // errant manager names a request port as a memory object.
-    if (!IsPagerManagerCall(msg.id())) {
-      return false;
-    }
-    std::shared_lock<std::shared_mutex> alive(guard->mu);
-    if (guard->vm == nullptr) {
-      return false;
-    }
-    guard->vm->HandlePagerMessage(port_id, std::move(msg));
-    return true;
-  });
+  request.port()->SetKernelObjectHandler(
+      [guard = kernel_calls_](Port& port, Message& msg, Timeout) -> std::optional<KernReturn> {
+        // Only the Table 3-6 ids, which the kernel never sends itself: a
+        // kernel thread holding VM locks can then never enter a handler,
+        // even when an errant manager names a request port as a memory
+        // object.
+        if (!IsPagerManagerCall(msg.id())) {
+          return std::nullopt;
+        }
+        std::shared_lock<std::shared_mutex> alive(guard->mu);
+        if (guard->vm == nullptr) {
+          return std::nullopt;
+        }
+        guard->vm->HandlePagerMessage(port.id(), std::move(msg));
+        return KernReturn::kSuccess;
+      });
 }
 
 void VmSystem::HandlePagerMessage(uint64_t request_port_id, Message&& msg) {

@@ -59,6 +59,8 @@
 //      kernel-object handler, which the port runs with none of its locks
 //      held, and the handler runs only the Table 3-6 ids, which the kernel
 //      itself never sends: no VM lock is ever held on handler entry.
+//      NetLink's locks are leaves like these: a kPoll send under an object
+//      lock may forward through a proxy in the sending thread.
 //
 // Blocking operations never hold a lock they could convoy on: waits for busy
 // pages use the owning object's condition variable (targeted wakeups, §5

@@ -681,15 +681,16 @@ TEST(KernelObjectTest, HandlerServesInTheSendersThreadOrDeclinesToTheQueue) {
   std::vector<MsgId> served;
   uint64_t served_port = 0;
   std::thread::id served_on;
-  p.receive.port()->SetKernelObjectHandler([&](uint64_t port_id, Message& msg) {
-    if (msg.id() != 1) {
-      return false;
-    }
-    served.push_back(msg.id());
-    served_port = port_id;
-    served_on = std::this_thread::get_id();
-    return true;
-  });
+  p.receive.port()->SetKernelObjectHandler(
+      [&](Port& port, Message& msg, Timeout) -> std::optional<KernReturn> {
+        if (msg.id() != 1) {
+          return std::nullopt;
+        }
+        served.push_back(msg.id());
+        served_port = port.id();
+        served_on = std::this_thread::get_id();
+        return KernReturn::kSuccess;
+      });
   ASSERT_EQ(MsgSend(p.send, Message(1), kPoll), KernReturn::kSuccess);
   ASSERT_EQ(MsgSend(p.send, Message(2), kPoll), KernReturn::kSuccess);
   EXPECT_EQ(served, std::vector<MsgId>{1});
@@ -706,10 +707,11 @@ TEST(KernelObjectTest, FaultPointAndDeadCheckRunBeforeTheHandler) {
   IpcFaultGuard guard(&fi);
   PortPair p = PortAllocate("kernel-object");
   int calls = 0;
-  p.receive.port()->SetKernelObjectHandler([&calls](uint64_t, Message&) {
-    ++calls;
-    return true;
-  });
+  p.receive.port()->SetKernelObjectHandler(
+      [&calls](Port&, Message&, Timeout) -> std::optional<KernReturn> {
+        ++calls;
+        return KernReturn::kSuccess;
+      });
   EXPECT_EQ(MsgSend(p.send, Message(1), kPoll), KernReturn::kPortFull);
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(MsgSend(p.send, Message(1), kPoll), KernReturn::kSuccess);

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -593,6 +596,152 @@ TEST_F(NetTest, PeerDeathResolvesParkedRemoteFaulterQuickly) {
 
   task.reset();
   pager.Stop();
+}
+
+// --- Forwarding in the sender's thread ---------------------------------------
+
+// A data manager that answers every request with zeroes and remembers the
+// request port its objects' kernel gave it.
+class ZeroPager : public DataManager {
+ public:
+  ZeroPager() : DataManager("zero") {}
+  ~ZeroPager() override { Stop(); }
+  SendRight NewObject() { return CreateMemoryObject(1); }
+  SendRight WaitForRequestPort() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait_for(lk, std::chrono::seconds(5), [&] { return request_.valid(); });
+    return request_;
+  }
+
+ protected:
+  void OnInit(uint64_t, uint64_t, PagerInitArgs args) override {
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      request_ = std::move(args.pager_request_port);
+    }
+    cv_.notify_all();
+  }
+  void OnDataRequest(uint64_t, uint64_t, PagerDataRequestArgs args) override {
+    ProvideData(args.pager_request_port, args.offset, std::vector<std::byte>(args.length),
+                kVmProtNone);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  SendRight request_;
+};
+
+TEST_F(NetTest, ManagerCallAcrossTheLinkHasTakenEffectWhenItReturns) {
+  // The manager's pager_flush_request crosses the link and runs in kernel
+  // B inside the manager's own msg_send, as it would for a local kernel:
+  // the dirty page has been written back before the send returns.
+  constexpr VmSize kPages = 4;
+  ZeroPager pager;
+  pager.Start();
+  SendRight object = pager.NewObject();
+  std::shared_ptr<Task> task = host_b_->CreateTask();
+  Result<VmOffset> addr = task->VmAllocateWithPager(kPages * kPage, link_->ProxyForB(object), 0);
+  ASSERT_TRUE(addr.ok());
+  const SendRight request = pager.WaitForRequestPort();  // Kernel B's, through the link.
+  ASSERT_TRUE(request.valid());
+
+  for (VmSize i = 0; i < kPages; ++i) {
+    ASSERT_EQ(task->WriteValue<uint64_t>(addr.value() + i * kPage, 0x5eed), KernReturn::kSuccess);
+    const uint64_t before = host_b_->vm().Statistics().pageouts;
+    ASSERT_EQ(DataManager::FlushRequest(request, i * kPage, kPage), KernReturn::kSuccess);
+    EXPECT_EQ(host_b_->vm().Statistics().pageouts, before + 1) << "page " << i;
+  }
+
+  task.reset();
+  pager.Stop();
+}
+
+TEST_F(NetTest, DeferredSendsKeepTheirOrderAndTheProxyBacklogPushesBack) {
+  // A target at its backlog cannot take a message without waiting, so
+  // polling senders defer to the direction's thread: their sends return at
+  // once, and the messages arrive in send order once the target drains.
+  NetLink link(&host_a_->vm(), &host_b_->vm(), &clock_, kUmaLatency);
+  PortPair on_b = PortAllocate("full-sink");
+  ASSERT_EQ(on_b.receive.port()->SetBacklog(1), KernReturn::kSuccess);
+  ASSERT_EQ(MsgSend(on_b.send, Message(100), kPoll), KernReturn::kSuccess);  // Now full.
+  SendRight proxy = link.ProxyForA(on_b.send);
+
+  const auto started = std::chrono::steady_clock::now();
+  for (MsgId id = 1; id <= 5; ++id) {
+    ASSERT_EQ(MsgSend(proxy, Message(id), kPoll), KernReturn::kSuccess);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::milliseconds(500));
+  for (MsgId want : {100u, 1u, 2u, 3u, 4u, 5u}) {
+    Result<Message> got = MsgReceive(on_b.receive, std::chrono::seconds(5));
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value().id(), want);
+  }
+  EXPECT_EQ(link.messages_forwarded(), 5u);
+
+  // With the target full again, the thread waits on its delivery and the
+  // proxy's own queue fills: past its backlog, a polling sender is refused.
+  ASSERT_EQ(MsgSend(on_b.send, Message(100), kPoll), KernReturn::kSuccess);
+  const PortStatus proxy_status = proxy.port()->Status();
+  KernReturn kr = KernReturn::kSuccess;
+  size_t accepted = 0;
+  while (kr == KernReturn::kSuccess && accepted <= proxy_status.backlog + 2) {
+    kr = MsgSend(proxy, Message(7), kPoll);
+    accepted += kr == KernReturn::kSuccess;
+  }
+  EXPECT_EQ(kr, KernReturn::kPortFull);
+  EXPECT_GE(accepted, proxy_status.backlog);
+  on_b.receive.Destroy();  // Fails the thread's delivery; the proxy dies.
+}
+
+TEST_F(NetTest, SendersRacingLinkTeardownSeeSuccessOrPortDeath) {
+  // Senders run the link's handler in their own threads right up to
+  // ~NetLink. The gate must let a send racing the destructor finish or
+  // decline — never reach a destroyed link. Run under ASan.
+  auto link = std::make_unique<NetLink>(&host_a_->vm(), &host_b_->vm(), &clock_, kUmaLatency);
+  PortPair on_b = PortAllocate("teardown-sink");
+  SendRight proxy = link->ProxyForA(on_b.send);
+  std::atomic<bool> stop{false};
+  std::thread drain([&] {
+    while (!stop.load()) {
+      MsgReceive(on_b.receive, std::chrono::milliseconds(5));
+    }
+  });
+  std::atomic<int> sent{0};
+  std::atomic<int> dead{0};
+  std::atomic<int> other{0};
+  auto sender = [&](bool carry_right, Timeout timeout) {
+    PortPair reply = PortAllocate("teardown-reply");  // Crossing, it mints a reverse proxy.
+    while (dead.load() == 0 || !stop.load()) {
+      Message msg(9);
+      if (carry_right) {
+        msg.PushPort(reply.send);
+      }
+      const KernReturn kr = MsgSend(proxy, std::move(msg), timeout);
+      if (kr == KernReturn::kSuccess) {
+        ++sent;
+      } else if (kr == KernReturn::kPortDead) {
+        ++dead;
+        if (stop.load()) {
+          break;
+        }
+      } else {
+        ++other;
+      }
+    }
+  };
+  std::thread plain(sender, false, Timeout(std::chrono::seconds(10)));
+  std::thread carrying(sender, true, Timeout(std::chrono::seconds(10)));
+  while (sent.load() < 200) {
+    std::this_thread::yield();
+  }
+  link.reset();
+  stop.store(true);
+  plain.join();
+  carrying.join();
+  drain.join();
+  EXPECT_GT(dead.load(), 0) << "a proxy outlived its link";
+  EXPECT_EQ(other.load(), 0);
 }
 
 }  // namespace

@@ -932,31 +932,32 @@ class InlineLockingManager {
  public:
   InlineLockingManager() {
     PortPair pair = PortAllocate("inline-manager");
-    pair.receive.port()->SetKernelObjectHandler([unlocks = unlocks_](uint64_t, Message& msg) {
-      if (msg.id() == kMsgPagerDataRequest) {
-        Result<PagerDataRequestArgs> req = DecodePagerDataRequest(msg);
-        if (req.ok()) {
-          std::vector<std::byte> data(req.value().length);
-          for (VmOffset off = 0; off < data.size(); off += kPage) {
-            uint64_t stamp = TestPager::Stamp(req.value().offset + off);
-            std::memcpy(data.data() + off, &stamp, sizeof(stamp));
+    pair.receive.port()->SetKernelObjectHandler(
+        [unlocks = unlocks_](Port&, Message& msg, Timeout) -> std::optional<KernReturn> {
+          if (msg.id() == kMsgPagerDataRequest) {
+            Result<PagerDataRequestArgs> req = DecodePagerDataRequest(msg);
+            if (req.ok()) {
+              std::vector<std::byte> data(req.value().length);
+              for (VmOffset off = 0; off < data.size(); off += kPage) {
+                uint64_t stamp = TestPager::Stamp(req.value().offset + off);
+                std::memcpy(data.data() + off, &stamp, sizeof(stamp));
+              }
+              DataManager::ProvideData(req.value().pager_request_port, req.value().offset,
+                                       std::move(data), kVmProtWrite);
+            }
+            return KernReturn::kSuccess;
           }
-          DataManager::ProvideData(req.value().pager_request_port, req.value().offset,
-                                   std::move(data), kVmProtWrite);
-        }
-        return true;
-      }
-      if (msg.id() == kMsgPagerDataUnlock) {
-        Result<PagerDataUnlockArgs> unlock = DecodePagerDataUnlock(msg);
-        if (unlock.ok()) {
-          unlocks->fetch_add(1);
-          DataManager::LockData(unlock.value().pager_request_port, unlock.value().offset,
-                                unlock.value().length, kVmProtNone);
-        }
-        return true;
-      }
-      return false;
-    });
+          if (msg.id() == kMsgPagerDataUnlock) {
+            Result<PagerDataUnlockArgs> unlock = DecodePagerDataUnlock(msg);
+            if (unlock.ok()) {
+              unlocks->fetch_add(1);
+              DataManager::LockData(unlock.value().pager_request_port, unlock.value().offset,
+                                    unlock.value().length, kVmProtNone);
+            }
+            return KernReturn::kSuccess;
+          }
+          return std::nullopt;
+        });
     receive_ = std::move(pair.receive);
     object_ = pair.send;
   }
