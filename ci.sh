@@ -8,7 +8,7 @@
 #                      # detection (cycle reclamation and speculative-
 #                      # placeholder sweeps must be leak-clean)
 #   ./ci.sh asan       # tier-1 under ASan+UBSan (-DMACH_SANITIZE=address)
-#   ./ci.sh tsan       # VM/IPC concurrency suites under ThreadSanitizer
+#   ./ci.sh tsan       # VM/IPC/pager concurrency suites under ThreadSanitizer
 #   ./ci.sh perfbench  # benchmark smoke: every BENCHMARK.json workload for
 #                      # 2 s, traced, seed 1; fails unless each checks out
 #   ./ci.sh all        # all of the above, sequentially
@@ -77,16 +77,18 @@ case "$mode" in
     # Data-race lane for the VM lock hierarchy: the suites that fault,
     # reclaim, and message concurrently run under ThreadSanitizer, plus the
     # lock-free pmap reads (hw_test), manager teardown order (camelot_test),
-    # the file server (fs_test), and the NetLink suites (net_test,
-    # migrate_test, kernel_server_test), whose senders' threads run the link
-    # and the remote kernel's pager handlers. Kept to the concurrency-heavy
-    # binaries — TSan is ~10x, and the full suite runs in the other lanes.
+    # the file server (fs_test), the pager suite (pager_test), where manager
+    # handlers settle page-in and unlock requests while their faulters wait,
+    # and the NetLink suites (net_test, migrate_test, kernel_server_test),
+    # whose senders' threads run the link and the remote kernel's pager
+    # handlers. Kept to the concurrency-heavy binaries — TSan is ~10x, and
+    # the full suite runs in the other lanes.
     export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}
-    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test|migrate_test|kernel_server_test)$'
+    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test|pager_test|migrate_test|kernel_server_test)$'
     cmake -B build-tsan -S . -DMACH_SANITIZE=thread
     cmake --build build-tsan -j "$jobs" --target \
       hw_test vm_test vm_concurrent_test property_test ipc_property_test shm_test \
-      shm_property_test camelot_test net_test fs_test migrate_test kernel_server_test
+      shm_property_test camelot_test net_test fs_test pager_test migrate_test kernel_server_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R "$tsan_suites"
     ;;
   perfbench)

@@ -6,8 +6,11 @@
 // resolves its map entry under the map lock(s) taken *shared*, walks the
 // shadow chain under per-object locks taken hand over hand (child before
 // parent), and installs the frame into the pmap under the map shared lock
-// while holding only a pin on the page. Waits for busy pages block on the
-// owning object's condition variable — targeted wakeups, not a global poll.
+// while holding only a pin on the page. A call to the data manager is one
+// PageRequest record on the faulting thread's stack: the faulter waits on
+// the record's state, on the owning object's condition variable — targeted
+// wakeups, not a global poll — and other faulters wait for its busy
+// placeholders' release there too.
 
 #include <algorithm>
 #include <cassert>
@@ -163,76 +166,43 @@ VmSystem::PagePin VmSystem::MakePinLocked(ObjectLock& olk, std::shared_ptr<VmObj
   return pin;
 }
 
-void VmSystem::UnpinPage(PagePin& pin) {
+void VmSystem::UnpinPage(PagePin& pin, ObjectLock* held) {
   if (pin.page == nullptr) {
     return;
   }
-  lock_probe::Note();
-  ObjectLock olk(pin.owner->mu);
+  // Declared before the lock: the pin's reference may be the object's last,
+  // and must outlive the unlock.
+  const std::shared_ptr<VmObject> owner = std::move(pin.owner);
+  ObjectLock own;
+  if (held == nullptr) {
+    lock_probe::Note();
+    own = ObjectLock(owner->mu);
+    held = &own;
+  }
   VmPage* page = pin.page;
   assert(page->pin_count > 0);
   --page->pin_count;
-  if (page->pin_count == 0 && !pin.owner->alive) {
+  if (page->pin_count == 0 && !owner->alive) {
     // The object died while we held the pin; the page was orphaned
     // (TerminateObject skips pinned pages) and we are the last holder.
-    PageFreeLocked(olk, page);
+    PageFreeLocked(*held, page);
   } else if (page->page_lock != pin.page_lock) {
     // A manager lock raced with our pmap install: the frame may now be
     // mapped with more access than the lock allows. Re-clamp every mapping.
     Pmap::PageProtect(phys_, page->frame, kVmProtAll & ~page->page_lock);
   }
   pin.page = nullptr;
-  pin.owner->cv.notify_all();
-  pin.owner.reset();
-}
-
-void VmSystem::UnpinRaw(const std::shared_ptr<VmObject>& owner, VmPage* page) {
-  lock_probe::Note();
-  ObjectLock olk(owner->mu);
-  assert(page->pin_count > 0);
-  --page->pin_count;
-  if (page->pin_count == 0 && !owner->alive) {
-    PageFreeLocked(olk, page);
-  }
   owner->cv.notify_all();
 }
 
-// --- pager interaction ------------------------------------------------------
+// --- requests to the data manager -------------------------------------------
 
 bool VmSystem::WaitForPage(ObjectLock& olk, VmObject* object,
                            SteadyClock::time_point deadline) {
-  // Bounded slice so a lost race (the notifying thread fired before we
-  // blocked) costs one slice, not the whole fault budget.
+  // Bounded slice, so a deadline far off (or none) still wakes to re-check.
   SteadyClock::time_point slice = SteadyClock::now() + std::chrono::milliseconds(100);
   object->cv.wait_until(olk, std::min(slice, deadline));
   return SteadyClock::now() < deadline;
-}
-
-KernReturn VmSystem::RequestDataFromPager(ObjectLock& olk,
-                                          const std::shared_ptr<VmObject>& object,
-                                          VmOffset offset, VmSize length, VmProt access) {
-  PagerDataRequestArgs args;
-  args.pager_request_port = object->request_send;
-  args.offset = offset;
-  args.length = length;
-  args.desired_access = access;
-  return SendToPagerLocked(olk, object, EncodePagerDataRequest(args));
-}
-
-KernReturn VmSystem::RequestUnlockFromPager(ObjectLock& olk,
-                                            const std::shared_ptr<VmObject>& object,
-                                            VmPage* page, VmProt access) {
-  if (page->unlock_pending) {
-    return KernReturn::kSuccess;  // Already asked; just wait.
-  }
-  page->unlock_pending = true;
-  counters_.unlock_requests.fetch_add(1, std::memory_order_relaxed);
-  PagerDataUnlockArgs args;
-  args.pager_request_port = object->request_send;
-  args.offset = page->offset;
-  args.length = page_size();
-  args.desired_access = access;
-  return SendToPagerLocked(olk, object, EncodePagerDataUnlock(args));
 }
 
 KernReturn VmSystem::SendToPagerLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
@@ -246,16 +216,199 @@ KernReturn VmSystem::SendToPagerLocked(ObjectLock& olk, const std::shared_ptr<Vm
   return MsgSend(pager, std::move(msg), bound);
 }
 
-void VmSystem::SettleZeroFillLocked(ObjectLock& olk, VmPage* page) {
-  (void)olk;
-  phys_->ZeroFrame(page->frame);
-  phys_->ClearModify(page->frame);
-  phys_->ClearReference(page->frame);
-  page->busy = false;
-  page->absent = false;
-  page->unavailable = false;
-  page->dirty = true;  // No backing copy of the zeroes exists.
-  counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
+PageRequest* VmSystem::FindRequestLocked(VmObject& object, PageRequest::Kind kind,
+                                         VmOffset offset) const {
+  for (PageRequest* req : object.requests) {
+    if (req->kind == kind && offset >= req->offset &&
+        offset < req->offset + VmSize{std::max(req->count, 1u)} * page_size()) {
+      return req;
+    }
+  }
+  return nullptr;
+}
+
+bool VmSystem::SettleLocked(const VmObject& object, PageRequest& req, uint32_t i,
+                            PageRequest::State outcome) {
+  using State = PageRequest::State;
+  const uint64_t bit = uint64_t{1} << i;
+  bool answered = false;
+  // A page takes one answer. One the manager has no data for while a shadow
+  // has it takes no substitute after: its owner copies the demanded page
+  // from the shadow and frees the rest, even if the manager dies meanwhile.
+  if (req.kind == PageRequest::Kind::kData && ((req.answered | req.unavailable) & bit) == 0) {
+    VmPage* page = req.pages[i];
+    // The §6.2.1 substitutes. A page the manager has no data for is zeroes
+    // unless a shadow holds a copy (the owner makes it); a dead or
+    // timed-out manager's page is zeroes under kZeroFill, while under
+    // kError a dead manager's page becomes an error page and a timed-out
+    // one is left for its owner to free.
+    const bool zero_fill = outcome == State::kUnavailable
+                               ? object.shadow == nullptr
+                               : outcome != State::kProvided &&
+                                     config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill;
+    if (zero_fill) {
+      phys_->ZeroFrame(page->frame);
+      // No backing copy of substituted zeroes exists.
+      page->dirty = outcome != State::kUnavailable;
+      counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
+    }
+    page->error = outcome == State::kManagerDead && !zero_fill;
+    answered = zero_fill || page->error || outcome == State::kProvided;
+    req.answered |= answered ? bit : 0;
+    req.unavailable |= outcome == State::kUnavailable && !answered ? bit : 0;
+  }
+  if (i == 0 && req.state == State::kRequested) {
+    req.state = outcome;
+  }
+  return answered;
+}
+
+void VmSystem::AskLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                         PageRequest& req, Message msg) {
+  object->requests.PushBack(&req);
+  if (!IsOk(SendToPagerLocked(olk, object, std::move(msg)))) {
+    // It never reached the manager: no answer will come.
+    SettleLocked(*object, req, 0, PageRequest::State::kTimedOut);
+  }
+  // Handlers settle the record in place, so an answer that landed while the
+  // lock was dropped for the send is already here.
+  while (object->alive && req.state == PageRequest::State::kRequested) {
+    if (!WaitForPage(olk, object.get(), req.deadline)) {
+      SettleLocked(*object, req, 0, PageRequest::State::kTimedOut);
+    } else if (req.state == PageRequest::State::kRequested) {
+      counters_.spurious_page_wakeups.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+}
+
+void VmSystem::ReleaseRequestLocked(ObjectLock& olk, VmObject& object, PageRequest& req) {
+  object.requests.Remove(&req);
+  for (uint32_t i = 0; i < req.count; ++i) {
+    // An unanswered fault-ahead page is freed, never given a verdict no
+    // thread asked for; a later demand fault asks again. A dead object's
+    // pages were orphaned to us by TerminateObject.
+    if (object.alive && ((req.answered >> i) & 1) != 0) {
+      req.pages[i]->busy = false;
+    } else {
+      PageFreeLocked(olk, req.pages[i]);
+    }
+  }
+  object.cv.notify_all();
+}
+
+KernReturn VmSystem::RequestUnlockLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                                         VmOffset offset, VmProt access,
+                                         SteadyClock::time_point deadline) {
+  if (SteadyClock::now() >= deadline) {
+    return KernReturn::kMemoryFailure;
+  }
+  if (FindRequestLocked(*object, PageRequest::Kind::kUnlock, offset) != nullptr) {
+    // Another fault has asked already; wait for its answer.
+    return WaitForPage(olk, object.get(), deadline) ? KernReturn::kSuccess
+                                                    : KernReturn::kMemoryFailure;
+  }
+  PageRequest req(PageRequest::Kind::kUnlock, offset, deadline);
+  counters_.unlock_requests.fetch_add(1, std::memory_order_relaxed);
+  PagerDataUnlockArgs args;
+  args.pager_request_port = object->request_send;
+  args.offset = offset;
+  args.length = page_size();
+  args.desired_access = access;
+  AskLocked(olk, object, req, EncodePagerDataUnlock(args));
+  ReleaseRequestLocked(olk, *object, req);
+  // A dead manager's locks are lifted, so its death answers too.
+  return object->alive && req.state != PageRequest::State::kTimedOut
+             ? KernReturn::kSuccess
+             : KernReturn::kMemoryFailure;
+}
+
+Result<VmPage*> VmSystem::PageInLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                                       VmOffset offset, VmProt access, uint32_t window,
+                                       bool allow_reserve, SteadyClock::time_point deadline) {
+  // §6.2.2: data parked with the default pager takes precedence over asking
+  // the (possibly errant) manager.
+  if (parking_ != nullptr && object->parked_offsets.erase(offset) != 0) {
+    std::optional<std::vector<std::byte>> data = parking_->Unpark(object->id(), offset);
+    if (data.has_value()) {
+      Result<VmPage*> np = PageAllocLocked(object.get(), offset, allow_reserve);
+      if (!np.ok()) {
+        // Keep the unparked bytes safe either way.
+        object->parked_offsets.insert(offset);
+        parking_->Park(object->id(), offset, std::move(*data));
+        return np.status();
+      }
+      VmSize n = std::min<VmSize>(data->size(), page_size());
+      phys_->WriteFrame(np.value()->frame, 0, data->data(), n);
+      np.value()->dirty = true;  // Never reached its manager.
+      return np;
+    }
+  }
+  if (object->pager.IsDead()) {
+    // Destruction of a memory object by the data manager aborts requests in
+    // progress (§6.2.1).
+    if (config_.on_pager_timeout != Config::OnPagerTimeout::kZeroFill) {
+      return KernReturn::kMemoryFailure;
+    }
+    return ZeroFillLocked(olk, object.get(), offset, allow_reserve);
+  }
+  // Cache miss: a placeholder for the demanded page and one pager_data_request
+  // for it. Fault-ahead extends the request over a contiguous run of absent
+  // neighbours, each with its own placeholder. The run ends at the object
+  // end, any resident page (PageAllocLocked returns kMemoryPresent), parked
+  // data, an offset an internal object never pushed to the default pager,
+  // or a frame shortage — speculation never dips into the reserve.
+  Result<VmPage*> np = PageAllocLocked(object.get(), offset, allow_reserve);
+  if (!np.ok()) {
+    return np.status();
+  }
+  PageRequest req(PageRequest::Kind::kData, offset, deadline);
+  do {
+    np.value()->busy = true;
+    np.value()->readahead = req.count > 0;
+    req.pages[req.count++] = np.value();
+    const VmOffset next = offset + VmOffset{req.count} * page_size();
+    if (req.count == window || next >= object->size() ||
+        object->parked_offsets.count(next) != 0 ||
+        (object->internal && object->paged_offsets.count(next) == 0)) {
+      break;
+    }
+    np = PageAllocLocked(object.get(), next, /*allow_reserve=*/false);
+  } while (np.ok());
+  if (req.count > 1) {
+    counters_.fault_ahead_requests.fetch_add(1, std::memory_order_relaxed);
+    counters_.fault_ahead_pages.fetch_add(req.count - 1, std::memory_order_relaxed);
+  }
+  PagerDataRequestArgs args;
+  args.pager_request_port = object->request_send;
+  args.offset = offset;
+  args.length = VmSize{req.count} * page_size();
+  args.desired_access = access;
+  AskLocked(olk, object, req, EncodePagerDataRequest(args));
+  KernReturn failure = KernReturn::kMemoryFailure;
+  if (object->alive && (req.unavailable & 1) != 0 && object->shadow != nullptr) {
+    // The manager has no data for the page and the shadow does: copy it
+    // from there (footnote 6), the record keeping the placeholder busy
+    // across the recursion.
+    Result<PagePin> backing = [&, shadow = object->shadow,
+                               at = offset + object->shadow_offset] {
+      ScopedUnlock unlock(olk);
+      return ResolvePage(shadow, at, kVmProtRead);
+    }();
+    if (!backing.ok()) {
+      failure = backing.status();  // The placeholder is freed below.
+    } else {
+      phys_->CopyFrame(backing.value().page->frame, req.pages[0]->frame);
+      req.answered |= 1;  // Filled from the shadow.
+      UnpinPage(backing.value());
+    }
+  }
+  VmPage* page = req.pages[0];
+  const bool settled = object->alive && (req.answered & 1) != 0;
+  ReleaseRequestLocked(olk, *object, req);
+  if (!settled) {
+    return failure;
+  }
+  return page;
 }
 
 // --- the page walk ----------------------------------------------------------
@@ -269,7 +422,6 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
   if (config_.pager_timeout.has_value()) {
     deadline = SteadyClock::now() + *config_.pager_timeout;
   }
-  const bool zero_fill_policy = config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill;
 
   bool first_probe = true;
   int shortage_rounds = 0;
@@ -288,14 +440,30 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
     while (retry == KernReturn::kSuccess) {
       // Invariant here: olk holds object->mu.
       VmPage* page = PageLookup(object.get(), offset);
+      if (page == nullptr && object->pager.valid()) {
+        // Not resident in a pager-backed object: unpark it or ask the
+        // manager. The page comes back settled, straight from the request.
+        first_probe = false;
+        Result<VmPage*> in = PageInLocked(olk, object, offset, fault_type,
+                                          object == first_object ? fa_window : 1,
+                                          allow_reserve, deadline);
+        if (!in.ok()) {
+          if (in.status() != kRescan && in.status() != KernReturn::kResourceShortage) {
+            return in.status();
+          }
+          retry = in.status();
+          continue;
+        }
+        page = in.value();
+      }
       if (page != nullptr) {
         // A faulting thread has reached this page: whatever happens next
-        // (wait, settle, pin), the speculation paid off.
+        // (wait, pin), the speculation paid off.
         page->readahead = false;
         if (page->busy) {
-          // In transit on behalf of another thread; wait for a state change
+          // A placeholder of another thread's request: wait for its release
           // and rescan from the top (the pointer may dangle after a wake —
-          // the owning thread may have freed or renamed it).
+          // the owner may have freed it).
           if (!WaitForPage(olk, object.get(), deadline)) {
             return KernReturn::kMemoryFailure;
           }
@@ -308,65 +476,15 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
         if (page->error) {
           return KernReturn::kMemoryError;
         }
-        if (page->unavailable) {
-          // The data manager has no data for this page: copy from the
-          // shadow if there is one, else fill with zeros (footnote 6).
-          if (object->shadow != nullptr) {
-            page->busy = true;  // Own the placeholder across the recursion.
-            std::shared_ptr<VmObject> backing_obj = object->shadow;
-            VmOffset backing_off = offset + object->shadow_offset;
-            Result<PagePin> backing = KernReturn::kFailure;
-            {
-              ScopedUnlock unlock(olk);
-              backing = ResolvePage(backing_obj, backing_off, kVmProtRead);
-            }
-            // We own the busy placeholder: even on failure, we must settle
-            // it ourselves (nobody else may touch a busy page).
-            if (!object->alive) {
-              if (backing.ok()) {
-                UnpinPage(backing.value());
-              }
-              PageFreeLocked(olk, page);
-              object->cv.notify_all();
-              return KernReturn::kMemoryFailure;
-            }
-            if (!backing.ok()) {
-              page->busy = false;
-              page->error = true;
-              object->cv.notify_all();
-              return backing.status();
-            }
-            phys_->CopyFrame(backing.value().page->frame, page->frame);
-            UnpinPage(backing.value());
-            page->busy = false;
-          } else {
-            phys_->ZeroFrame(page->frame);
-            counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
-          }
-          page->unavailable = false;
-          page->absent = false;
-          object->cv.notify_all();
-        }
         if (object == first_object) {
-          // Found in the top object. Honour any data-manager lock.
+          // Found in the top object. Honour any data-manager lock: ask for
+          // an unlock, then look again (the lock was dropped for the send).
           if ((fault_type & page->page_lock) != 0 && object->pager.valid()) {
-            KernReturn kr = RequestUnlockFromPager(olk, object, page, fault_type);
-            if (!IsOk(kr) && kr != KernReturn::kSuccess) {
-              return KernReturn::kMemoryFailure;
+            first_probe = false;
+            KernReturn kr = RequestUnlockLocked(olk, object, offset, fault_type, deadline);
+            if (!IsOk(kr)) {
+              return kr;
             }
-            // The lock was dropped across the send, so the page pointer is
-            // stale and the answer may already have landed (a manager's
-            // pager_data_lock runs in its own thread, and its wakeup is gone
-            // by now). Look again; wait only while the unlock is still
-            // outstanding, then rescan.
-            const VmPage* again = PageLookupRaw(object.get(), offset);
-            const bool outstanding = again != nullptr && again->unlock_pending &&
-                                     (fault_type & again->page_lock) != 0;
-            if (outstanding ? !WaitForPage(olk, object.get(), deadline)
-                            : SteadyClock::now() >= deadline) {
-              return KernReturn::kMemoryFailure;
-            }
-            retry = kRescan;
             continue;
           }
           if (first_probe) {
@@ -382,176 +500,32 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
           // backing page so it survives while we drop its lock and lock the
           // top object (child-before-parent order forbids holding both the
           // other way, and we are at the parent now).
-          ++page->pin_count;
-          std::shared_ptr<VmObject> backing_owner = object;
+          PagePin source = MakePinLocked(olk, object, page, /*from_backing=*/true);
           olk.unlock();
           lock_probe::Note();
           ObjectLock top_lk(first_object->mu);
           Result<VmPage*> np = PageAllocLocked(first_object.get(), first_offset, allow_reserve);
+          PagePin pin;
+          if (np.ok()) {
+            phys_->CopyFrame(page->frame, np.value()->frame);
+            // A mapping of the original cannot tell whether it serves this
+            // chain, which now has its own copy, or another one: drop them
+            // all, as Mach's vm_fault does after a copy. The other chains
+            // re-fault onto the original; this one installs the copy.
+            Pmap::PageProtect(phys_, page->frame, kVmProtNone);
+            np.value()->dirty = true;
+            counters_.cow_faults.fetch_add(1, std::memory_order_relaxed);
+            pin = MakePinLocked(top_lk, first_object, np.value(), /*from_backing=*/false);
+          }
+          top_lk.unlock();
+          UnpinPage(source);
           if (!np.ok()) {
-            top_lk.unlock();
-            UnpinRaw(backing_owner, page);
             retry = np.status();  // Slot taken (rescan, use that page) or no frame.
             continue;
           }
-          phys_->CopyFrame(page->frame, np.value()->frame);
-          // A mapping of the original cannot tell whether it serves this
-          // chain, which now has its own copy, or another one: drop them
-          // all, as Mach's vm_fault does after a copy. The other chains
-          // re-fault onto the original; this one installs the copy.
-          Pmap::PageProtect(phys_, page->frame, kVmProtNone);
-          np.value()->dirty = true;
-          counters_.cow_faults.fetch_add(1, std::memory_order_relaxed);
-          PagePin pin = MakePinLocked(top_lk, first_object, np.value(), /*from_backing=*/false);
-          first_object->cv.notify_all();
-          top_lk.unlock();
-          UnpinRaw(backing_owner, page);
           return pin;
         }
         return MakePinLocked(olk, object, page, /*from_backing=*/true);
-      }
-
-      // Not resident in `object`.
-      if (object->pager.valid()) {
-        // §6.2.2: data parked with the default pager takes precedence over
-        // asking the (possibly errant) manager.
-        auto parked = object->parked_offsets.find(offset);
-        if (parked != object->parked_offsets.end() && parking_ != nullptr) {
-          std::optional<std::vector<std::byte>> data = parking_->Unpark(object->id(), offset);
-          object->parked_offsets.erase(parked);
-          if (data.has_value()) {
-            Result<VmPage*> np = PageAllocLocked(object.get(), offset, allow_reserve);
-            if (!np.ok()) {
-              // Keep the unparked bytes safe either way.
-              object->parked_offsets[offset] = true;
-              parking_->Park(object->id(), offset, std::move(*data));
-              retry = np.status();
-              continue;
-            }
-            VmSize n = std::min<VmSize>(data->size(), page_size());
-            phys_->WriteFrame(np.value()->frame, 0, data->data(), n);
-            np.value()->dirty = true;  // Never reached its manager.
-            object->cv.notify_all();
-            retry = kRescan;  // Rescan finds it resident.
-            continue;
-          }
-        }
-        if (object->pager.IsDead()) {
-          // Destruction of a memory object by the data manager aborts
-          // requests in progress (§6.2.1).
-          if (!zero_fill_policy) {
-            return KernReturn::kMemoryFailure;
-          }
-          Result<VmPage*> np = ZeroFillLocked(olk, object.get(), offset, allow_reserve);
-          if (np.ok()) {
-            object->cv.notify_all();
-          }
-          retry = np.ok() ? kRescan : np.status();
-          continue;
-        }
-        // Cache miss: allocate a placeholder and issue pager_data_request.
-        Result<VmPage*> np = PageAllocLocked(object.get(), offset, allow_reserve);
-        if (!np.ok()) {
-          retry = np.status();
-          continue;
-        }
-        VmPage* placeholder = np.value();
-        placeholder->busy = true;
-        placeholder->absent = true;
-        // Pin across the request-and-wait window: busy alone stops
-        // protecting the placeholder the instant a handler settles it, and
-        // a flush/clean/pageout sweeping the object in the gap before we
-        // re-check would free the page out from under our raw pointer.
-        ++placeholder->pin_count;
-
-        // Fault-ahead: extend the request over a contiguous run of absent
-        // neighbours, each held as its own pinned busy+absent placeholder.
-        // Top-object misses only — shadow descents stay single-page. The
-        // run ends at the object end, any resident/busy/pinned page
-        // (PageAllocLocked returns kMemoryPresent), parked data, an offset
-        // an internal object never pushed to the default pager, or a frame
-        // shortage — speculation never dips into the reserve.
-        std::vector<VmPage*> extras;
-        if (fa_window > 1 && object == first_object) {
-          for (uint32_t i = 1; i < fa_window; ++i) {
-            VmOffset eoff = offset + VmOffset{i} * page_size();
-            if (eoff >= object->size() ||
-                object->parked_offsets.count(eoff) != 0 ||
-                (object->internal && object->paged_offsets.count(eoff) == 0)) {
-              break;
-            }
-            Result<VmPage*> ep =
-                PageAllocLocked(object.get(), eoff, /*allow_reserve=*/false);
-            if (!ep.ok()) {
-              break;
-            }
-            VmPage* extra = ep.value();
-            extra->busy = true;
-            extra->absent = true;
-            extra->readahead = true;
-            ++extra->pin_count;
-            extras.push_back(extra);
-          }
-          if (!extras.empty()) {
-            counters_.fault_ahead_requests.fetch_add(1, std::memory_order_relaxed);
-            counters_.fault_ahead_pages.fetch_add(extras.size(),
-                                                  std::memory_order_relaxed);
-          }
-        }
-        KernReturn kr = RequestDataFromPager(
-            olk, object, offset,
-            VmSize{1 + extras.size()} * page_size(), fault_type);
-        // The object lock was dropped during the send. We still own the
-        // placeholder (handlers settle busy+absent pages without freeing,
-        // and the pin keeps every sweeper away). Wait for
-        // pager_data_provided / pager_data_unavailable — the pin keeps the
-        // pointer valid while the object lives — until the object dies
-        // (TerminateObject then orphaned the pinned page to us, its last
-        // holder) or the data will never come: the request never reached
-        // the manager, or the wait timed out (§6.2.1).
-        const auto unsettled = [&] {
-          return placeholder->absent && !placeholder->unavailable && !placeholder->error;
-        };
-        bool abandoned = false;
-        while (object->alive && unsettled()) {
-          if (!IsOk(kr) || !WaitForPage(olk, object.get(), deadline)) {
-            abandoned = true;
-            break;
-          }
-          if (unsettled()) {
-            counters_.spurious_page_wakeups.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        // Every exit releases the run's speculative placeholders. We own
-        // each extra's busy bit, so one still busy+absent was never
-        // answered — the partial-provide remainder (a multi-page provide
-        // settles every page it covers under one handler lock acquisition)
-        // — and is freed; a later demand fault re-issues the request and
-        // the OnPagerTimeout policy applies there (a speculative page is
-        // never zero-filled or errored in place: that would fabricate a
-        // verdict no thread asked for). Settled extras stay resident and
-        // just lose the pin; if the object died, TerminateObject orphaned
-        // the pinned pages to us, the last holder.
-        for (VmPage* extra : extras) {
-          assert(extra->pin_count > 0);
-          --extra->pin_count;
-          if (object->alive ? extra->busy && extra->absent : extra->pin_count == 0) {
-            PageFreeLocked(olk, extra);
-          }
-        }
-        --placeholder->pin_count;
-        if (!object->alive || (abandoned && !zero_fill_policy)) {
-          PageFreeLocked(olk, placeholder);
-          object->cv.notify_all();
-          return KernReturn::kMemoryFailure;
-        }
-        if (abandoned) {
-          // Substitute zero-filled memory for the data that never came.
-          SettleZeroFillLocked(olk, placeholder);
-        }
-        object->cv.notify_all();
-        retry = kRescan;  // Data, a verdict or the zero fill is in place.
-        continue;
       }
       if (object->shadow != nullptr) {
         // Walk down, hand over hand: take the parent's lock before
@@ -602,7 +576,6 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
         retry = np.status();
         continue;
       }
-      first_object->cv.notify_all();
       return MakePinLocked(olk, first_object, np.value(), /*from_backing=*/false);
     }
     if (olk.owns_lock()) {
@@ -655,8 +628,8 @@ VmSystem::FastStep VmSystem::FastFault(TaskVm& task, VmOffset page_addr, VmProt 
   if (page == nullptr) {
     return FastStep::kMissing;
   }
-  if (page->busy || page->absent || page->unavailable || page->error) {
-    return FastStep::kDeclined;  // Unsettled pages are the page walk's work.
+  if (page->busy || page->error) {
+    return FastStep::kDeclined;  // Placeholders and error pages are the page walk's work.
   }
   // First demand touch of a readahead page: recorded under the object lock,
   // the one lock the flag is guarded by.
@@ -799,8 +772,9 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
   for (int attempt = 0; attempt < 64; ++attempt) {
     // Phase 1: resolve the map entry under the map lock(s), shared mode;
     // the fast step completes the fault there when it can. Anything it
-    // declines (busy, absent, locked against this access, COW pending on a
-    // write, a miss that is not a one-pass zero fill) takes the page walk.
+    // declines (a request's placeholder, an error page, locked against this
+    // access, COW pending on a write, a miss that is not a one-pass zero
+    // fill) takes the page walk.
     Result<FaultTarget> rt = ResolveEntry(task, page_addr, access, /*fault=*/true);
     if (!rt.ok()) {
       return rt.status();
@@ -931,24 +905,19 @@ KernReturn VmSystem::WriteMemory(TaskVm& task, VmOffset addr, const void* buf, V
       return rp.status();
     }
     PagePin pin = std::move(rp.value());
-    bool retry = false;
+    bool locked;
     {
       ObjectLock olk(pin.owner->mu);
-      if ((kVmProtWrite & pin.page->page_lock) != 0 && pin.owner->pager.valid()) {
-        // Honour manager locks on the kernel write path too.
-        KernReturn kr = RequestUnlockFromPager(olk, pin.owner, pin.page, kVmProtWrite);
-        if (!IsOk(kr)) {
-          olk.unlock();
-          UnpinPage(pin);
-          return KernReturn::kMemoryFailure;
-        }
-        retry = true;  // Retry this chunk; ResolvePage waits out the unlock.
-      } else {
+      // Honour manager locks on the kernel write path too: a lock that
+      // landed after ResolvePage pinned the page sends this chunk round
+      // again, and ResolvePage asks for the unlock.
+      locked = (kVmProtWrite & pin.page->page_lock) != 0 && pin.owner->pager.valid();
+      if (!locked) {
         phys_->WriteFrame(pin.page->frame, addr - page_addr, in, chunk);
         pin.page->dirty = true;
       }
     }
-    if (retry) {
+    if (locked) {
       UnpinPage(pin);
       continue;
     }

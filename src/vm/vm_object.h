@@ -12,8 +12,9 @@
 // to zero the object is terminated or cached per can_persist (§3.4.1).
 //
 // Locking: each object carries its own mutex `mu` guarding its page list,
-// page state, pager ports and paged/parked metadata, plus a condition
-// variable `cv` for the §5 busy/wanted page protocol. Chain *structure*
+// page state, in-flight requests, pager ports and paged/parked metadata,
+// plus a condition variable `cv` on which faulters wait for a request's
+// answer or a busy page's release. Chain *structure*
 // (`shadow`, `shadow_offset`, `shadow_children`) and lifecycle state
 // (`alive`, `cached`, `can_persist`, registry membership) are guarded by the
 // VmSystem chain lock; `shadow`/`shadow_offset` writes additionally hold the
@@ -26,21 +27,58 @@
 #define SRC_VM_VM_OBJECT_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cassert>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "src/base/intrusive_list.h"
 #include "src/base/vm_types.h"
 #include "src/ipc/port.h"
 #include "src/ipc/port_right.h"
+#include "src/pager/protocol.h"
 #include "src/vm/vm_page.h"
 
 namespace mach {
+
+// One outstanding kernel→manager call: a pager_data_request run or a
+// pager_data_unlock. The faulting thread that sends it owns it on its stack
+// and links it on the object, under the object lock, before the send; the
+// answer (pager_data_provided, _unavailable or _lock), the manager's death or
+// the owner's deadline settles it (VmSystem::SettleLocked) — an unlock also
+// ends when its page leaves the object (PageDetachLocked) — and the owner,
+// waiting on the record's state, takes its demanded page from it and
+// releases it. A data request holds its run's placeholders (busy pages) until
+// then, so a page-in allocates nothing on the heap. The demanded page is
+// pages[0]; the fault-ahead run continues upward from it.
+struct PageRequest {
+  enum class Kind : uint8_t { kData, kUnlock };
+  enum class State : uint8_t { kRequested, kProvided, kUnavailable, kTimedOut, kManagerDead };
+
+  PageRequest(Kind k, VmOffset off, std::chrono::steady_clock::time_point until)
+      : kind(k), offset(off), deadline(until) {}
+  ~PageRequest() { assert(!link.linked()); }
+  PageRequest(const PageRequest&) = delete;
+  PageRequest& operator=(const PageRequest&) = delete;
+
+  const Kind kind;
+  State state = State::kRequested;  // The demanded page's outcome.
+  const VmOffset offset;
+  const std::chrono::steady_clock::time_point deadline;
+  uint32_t count = 0;     // Placeholders held (data requests only).
+  uint64_t answered = 0;  // Bit i: pages[i] holds data (or its substitute).
+  uint64_t unavailable = 0;  // Bit i: no data from the manager; the shadow has it.
+  std::array<VmPage*, kPagerMaxRunPages> pages{};
+  IntrusiveListNode link;  // VmObject::requests
+};
+static_assert(kPagerMaxRunPages <= 64, "PageRequest's masks have one bit per page");
+using RequestList = IntrusiveList<PageRequest, &PageRequest::link>;
 
 class VmObject : public std::enable_shared_from_this<VmObject> {
  public:
@@ -112,8 +150,8 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   // Offsets that the kernel parked with the default pager because this
   // (external) object's manager failed to accept a pager_data_write in time
   // (§6.2.2). Consulted by the fault handler before asking the manager.
-  // Maps offset -> true. Cleared when the data is re-fetched.
-  std::unordered_map<VmOffset, bool> parked_offsets;
+  // Cleared when the data is re-fetched.
+  std::unordered_set<VmOffset> parked_offsets;
 
   // Number of address-map (and map-copy) references. Atomic so references
   // can be taken without a lock; decrements (which may reach the terminal
@@ -124,6 +162,10 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   // Resident pages of this object.
   ObjectPageList pages;
   uint32_t resident_count = 0;
+
+  // Kernel→manager calls in flight (and settled ones their owners have not
+  // yet released).
+  RequestList requests;
 
   // Monotonic id used as the default pager's backing-store key.
   uint64_t id() const { return id_; }

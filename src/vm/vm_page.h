@@ -13,8 +13,13 @@
 // its state is reset when the frame is handed out again (in sanitizer
 // builds it is poisoned in between; see VmSystem::PageAllocLocked).
 //
-// Locking: a page's state fields (busy/absent/error/..., page_lock, dirty,
-// identity and pin_count) are protected by the *owning VmObject's* lock; the
+// A page is either settled (its data present) or a placeholder held by one
+// in-flight PageRequest (vm_object.h): `busy` marks the second, from the
+// request's send until its owner releases it, whether or not the answer has
+// come in. The page-in's outcome lives in the request, not in the page.
+//
+// Locking: a page's state fields (busy, error, page_lock, dirty, identity
+// and pin_count) are protected by the *owning VmObject's* lock; the
 // queue membership fields (queue_link, and the identity fields while a
 // PageRename is in flight) are additionally protected by the VmSystem page-
 // queue lock, and hash_next by the shard lock of the page's hash bucket.
@@ -50,18 +55,16 @@ struct VmPage {
   uint32_t frame = UINT32_MAX;
 
   // Page state (§5.3 and Mach's vm_page):
-  bool busy = false;    // In transit (pagein/pageout); waiters block on the
-                        // owning object's condition variable. Only the
-                        // thread that set busy may clear or free the page.
-  bool absent = false;  // Data has been requested but has not arrived.
-  bool error = false;   // The data manager reported failure for this page.
-  bool unavailable = false;  // pager_data_unavailable arrived: the faulting
-                             // thread must zero-fill or copy from the shadow
-                             // (footnote 6 of the paper).
+  bool busy = false;    // A placeholder held by an in-flight PageRequest;
+                        // other faulters wait on the owning object's
+                        // condition variable. Only the request's owner
+                        // clears it (or frees the page), when it releases
+                        // the request.
+  bool error = false;   // The page's manager died with the page requested
+                        // under OnPagerTimeout::kError: faults answer
+                        // kMemoryError.
   bool dirty = false;   // Modified since last cleaned (kernel's view; the
                         // hardware modify bit is OR'd in when sampled).
-  bool unlock_pending = false;  // A pager_data_unlock has been sent and not
-                                // yet answered.
 
   bool readahead = false;  // Allocated speculatively by fault-ahead and not
                            // yet demanded by any faulting thread. Cleared
@@ -73,12 +76,13 @@ struct VmPage {
   // the lock_value of pager_data_provided). kVmProtNone = unrestricted.
   VmProt page_lock = kVmProtNone;
 
-  // Short-term reference count taken by a fault while it installs the frame
-  // into a pmap after dropping the object lock (distinct from `busy`, which
-  // marks a page whose *data* is in transit). A pinned page may not be
-  // freed, renamed by collapse, or selected by pageout; if the object dies
-  // while pins are outstanding the page is orphaned and the last unpinner
-  // frees it.
+  // Short-term reference count: the PagePins (VmSystem::MakePinLocked /
+  // UnpinPage) that keep a settled page across a dropped object lock — a
+  // fault installing its frame, a copy-on-write source, a pageout waiting
+  // for the chain lock. A pinned page, like a busy one, may not be freed,
+  // renamed by collapse, or selected by pageout; if the object dies while
+  // pins are outstanding the page is orphaned and the last unpinner frees
+  // it.
   uint16_t pin_count = 0;
 
   // Written only under the queue lock; readable lock-free (see the header

@@ -110,13 +110,9 @@ uint32_t VmSystem::ReclaimPass(uint32_t want) {
     // strong reference is safe to take here and keeps the object across the
     // pageout I/O below.
     std::shared_ptr<VmObject> object = owner->shared_from_this();
-    if (page->busy) {
-      // Busy pages are normally unqueued by their owner; be safe.
-      PageRemoveFromQueueLocked(page);
-      continue;
-    }
-    if (page->pin_count > 0) {
-      // A fault is installing this frame right now; clearly not idle.
+    if (page->busy || page->pin_count > 0) {
+      // A request still holds it, or a fault is installing this frame right
+      // now; clearly not idle.
       inactive_queue_.Remove(page);
       inactive_queue_.PushBack(page);
       continue;
@@ -228,7 +224,7 @@ uint32_t VmSystem::PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmOb
     // default pager via pager_create. That needs chain_mu_, which sits
     // *above* the object lock — pin the victim, drop the object lock, take
     // the chain lock, relock, revalidate.
-    ++page->pin_count;
+    PagePin pin = MakePinLocked(olk, object, page, /*from_backing=*/false);
     olk.unlock();
     bool have_pager;
     {
@@ -236,21 +232,16 @@ uint32_t VmSystem::PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmOb
       olk.lock();
       have_pager = object->alive && EnsureInternalPager(chain, olk, object);
     }
-    --page->pin_count;
+    const bool last_pin = page->pin_count == 1;
+    UnpinPage(pin, &olk);
     if (!object->alive) {
-      // Terminated while unlocked; the page was orphaned for us to free.
-      if (page->pin_count == 0 && !page->busy) {
-        PageFreeLocked(olk, page);
-        object->cv.notify_all();
-        return 1;
-      }
-      object->cv.notify_all();
-      return 0;
+      // Terminated while unlocked: the page was orphaned, and the last
+      // unpinner freed it.
+      return last_pin ? 1 : 0;
     }
-    if (page->busy || page->pin_count > 0) {
+    if (page->pin_count > 0) {
       // A fault claimed the page during the gap: no longer a victim.
       PageActivate(page);
-      object->cv.notify_all();
       return 0;
     }
     if (!have_pager) {
@@ -392,7 +383,7 @@ VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
       std::vector<std::byte> page_data(ps);
       phys_->ReadFrame(page->frame, 0, page_data.data(), ps);
       parking_->Park(object->id(), page->offset, std::move(page_data));
-      object->parked_offsets[page->offset] = true;
+      object->parked_offsets.insert(page->offset);
     }
     counters_.parked_pageouts.fetch_add(run.size(), std::memory_order_relaxed);
     return RunWriteResult::kParked;
@@ -532,39 +523,27 @@ void VmSystem::HandleDataProvided(const std::shared_ptr<VmObject>& object, VmOff
   std::vector<VmPage*> provided;
   provided.reserve(full / ps);
   for (VmOffset delta = 0; delta < full; delta += ps) {
-    VmOffset off = offset + delta;
-    VmPage* page = PageLookup(object.get(), off);
-    if (page != nullptr) {
-      if (page->busy && page->absent) {
-        phys_->WriteFrame(page->frame, 0, data.data() + delta, ps);
-        phys_->ClearModify(page->frame);
-        phys_->ClearReference(page->frame);
-        page->page_lock = lock_value;
-        page->busy = false;
-        page->absent = false;
-        page->unavailable = false;
-        page->dirty = false;
-        provided.push_back(page);
-        counters_.pageins.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Already-resident data: duplicate provision is ignored.
+    const VmOffset off = offset + delta;
+    VmPage* page = nullptr;
+    if (PageRequest* req = FindRequestLocked(*object, PageRequest::Kind::kData, off)) {
+      // A placeholder waits for it, unless this is a duplicate provision.
+      const auto i = static_cast<uint32_t>((off - req->offset) / ps);
+      page = SettleLocked(*object, *req, i, PageRequest::State::kProvided) ? req->pages[i] : nullptr;
+    } else if (PageLookup(object.get(), off) == nullptr && phys_->free_frames() > free_target_) {
+      // Unsolicited data (pre-paging by an advanced manager), accepted only
+      // while memory is plentiful — a flooding manager must not drain the
+      // pool (§6.1). Already-resident data is ignored.
+      Result<VmPage*> np = PageAllocLocked(object.get(), off, /*allow_reserve=*/false);
+      page = np.ok() ? np.value() : nullptr;
+    }
+    if (page == nullptr) {
       continue;
     }
-    // Unsolicited data (pre-paging by an advanced manager). Accept it only
-    // while memory is plentiful — a flooding manager must not drain the
-    // pool (§6.1).
-    if (phys_->free_frames() <= free_target_) {
-      continue;
-    }
-    Result<VmPage*> np = PageAllocLocked(object.get(), off, /*allow_reserve=*/false);
-    if (!np.ok()) {
-      continue;
-    }
-    phys_->WriteFrame(np.value()->frame, 0, data.data() + delta, ps);
-    phys_->ClearModify(np.value()->frame);
-    phys_->ClearReference(np.value()->frame);
-    np.value()->page_lock = lock_value;
-    provided.push_back(np.value());
+    phys_->WriteFrame(page->frame, 0, data.data() + delta, ps);
+    phys_->ClearModify(page->frame);
+    phys_->ClearReference(page->frame);
+    page->page_lock = lock_value;
+    provided.push_back(page);
     counters_.pageins.fetch_add(1, std::memory_order_relaxed);
   }
   PagesActivate(provided);
@@ -578,15 +557,18 @@ void VmSystem::HandleDataUnavailable(const std::shared_ptr<VmObject>& object, Vm
   if (!object->alive) {
     return;
   }
+  // Zero-filled pages are queued like provided ones, so pageout can reclaim
+  // the speculative ones no fault ever touches.
+  std::vector<VmPage*> settled;  // Stable until activated: olk is held.
   for (VmOffset off = TruncPage(offset, ps); off < offset + size; off += ps) {
-    VmPage* page = PageLookup(object.get(), off);
-    if (page != nullptr && page->busy && page->absent) {
-      // The faulting thread resolves the substitution (zero fill or shadow
-      // copy) in its own context.
-      page->unavailable = true;
-      page->busy = false;
+    if (PageRequest* req = FindRequestLocked(*object, PageRequest::Kind::kData, off)) {
+      const auto i = static_cast<uint32_t>((off - req->offset) / ps);
+      if (SettleLocked(*object, *req, i, PageRequest::State::kUnavailable)) {
+        settled.push_back(req->pages[i]);
+      }
     }
   }
+  PagesActivate(settled);
   object->cv.notify_all();
 }
 
@@ -598,12 +580,15 @@ void VmSystem::HandleDataLock(const std::shared_ptr<VmObject>& object, VmOffset 
     return;
   }
   for (VmOffset off = TruncPage(offset, ps); off < offset + length; off += ps) {
+    // Any lock change answers a pager_data_unlock; the faulter looks again.
+    if (PageRequest* req = FindRequestLocked(*object, PageRequest::Kind::kUnlock, off)) {
+      SettleLocked(*object, *req, 0, PageRequest::State::kProvided);
+    }
     VmPage* page = PageLookup(object.get(), off);
     if (page == nullptr) {
       continue;
     }
     page->page_lock = lock_value;
-    page->unlock_pending = false;
     // Lower existing hardware mappings to the newly permitted access. (A
     // busy placeholder has no mappings, so this is a no-op for it; pinned
     // pages are re-clamped at unpin if the lock changed under them.)
@@ -707,26 +692,23 @@ void VmSystem::HandlePagerDeath(ChainLock& chain, std::shared_ptr<VmObject> obje
     return;
   }
   counters_.manager_deaths.fetch_add(1, std::memory_order_relaxed);
+  // Every request in flight settles now, under the same §6.2.1 policy a
+  // timeout would apply: each unanswered placeholder, fault-ahead ones too,
+  // is zero-filled or becomes an error page, and its owner wakes at once.
   std::vector<VmPage*> settled;  // Stable until activated: olk is held.
-  for (VmPage* page : object->pages) {
-    if (page->busy && page->absent) {
-      // In-flight placeholder: the requested data can never arrive. Resolve
-      // it under the same §6.2.1 policy a timeout would apply, but now.
-      // (Settling another thread's busy page is the documented exception to
-      // busy ownership: the owner only ever observes the settled state.)
-      if (zero_fill) {
-        SettleZeroFillLocked(olk, page);
-        settled.push_back(page);
-      } else {
-        page->error = true;
-        page->busy = false;
-        page->absent = false;
+  for (PageRequest* req : object->requests) {
+    for (uint32_t i = 0; i < std::max(req->count, 1u); ++i) {
+      if (SettleLocked(*object, *req, i, PageRequest::State::kManagerDead)) {
+        counters_.death_resolved_pages.fetch_add(1, std::memory_order_relaxed);
+        if (zero_fill) {
+          settled.push_back(req->pages[i]);
+        }
       }
-      counters_.death_resolved_pages.fetch_add(1, std::memory_order_relaxed);
     }
-    // A dead manager can never answer pager_data_unlock: lift its locks.
+  }
+  // A dead manager can never answer pager_data_unlock: lift its locks.
+  for (VmPage* page : object->pages) {
     page->page_lock = kVmProtNone;
-    page->unlock_pending = false;
   }
   PagesActivate(settled);
   if (zero_fill) {
@@ -743,7 +725,7 @@ void VmSystem::HandlePagerDeath(ChainLock& chain, std::shared_ptr<VmObject> obje
   }
   // Under kError the registries keep the dead pager right: resident error
   // pages answer kMemoryError, and future faults on non-resident pages hit
-  // the pager.IsDead() fast path in ResolvePage (kMemoryFailure).
+  // the pager.IsDead() fast path in PageInLocked (kMemoryFailure).
   object->cv.notify_all();
 }
 

@@ -197,17 +197,14 @@ Result<VmPage*> VmSystem::PageAllocLocked(VmObject* object, VmOffset offset, boo
       UnpoisonPage(page);
       assert(!page->object_link.linked() && !page->queue_link.linked());
       assert(page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kNone);
+      assert(page->pin_count == 0);  // Only the last unpinner frees a pinned page.
       page->object = object;
       page->offset = offset;
       page->busy = false;
-      page->absent = false;
       page->error = false;
-      page->unavailable = false;
       page->dirty = false;
-      page->unlock_pending = false;
       page->readahead = false;
       page->page_lock = kVmProtNone;
-      page->pin_count = 0;
       page->hash_next = b.head;
       b.head = page;
     }
@@ -244,6 +241,14 @@ void VmSystem::PageDetachLocked(VmPage* page) {
     counters_.fault_ahead_unused.fetch_add(1, std::memory_order_relaxed);
   }
   Pmap::PageProtect(phys_, page->frame, kVmProtNone);
+  // A pager_data_unlock ends with its page: whatever the manager answers
+  // next (a flush's data may come back as pager_data_provided), the owner
+  // looks again and asks anew.
+  if (PageRequest* unlock =
+          FindRequestLocked(*page->object, PageRequest::Kind::kUnlock, page->offset)) {
+    SettleLocked(*page->object, *unlock, 0, PageRequest::State::kProvided);
+    page->object->cv.notify_all();
+  }
   {
     Bucket b = BucketFor(page->object, page->offset);
     lock_probe::Note();
@@ -499,8 +504,8 @@ void VmSystem::TerminateObject(ChainLock& chain, const std::shared_ptr<VmObject>
     // below). An internal object can never be mapped again and the default
     // pager frees its blocks on no-senders, so its pages are just freed.
     // Busy or pinned pages are orphaned — removed from the queues and left
-    // resident; the in-transit owner or last unpinner frees them on seeing
-    // !alive.
+    // resident; the owner of the request holding them, or the last
+    // unpinner, frees them on seeing !alive.
     std::vector<VmPage*> victims;
     for (VmPage* page : object->pages) {
       if (page->busy || page->pin_count > 0) {
@@ -578,14 +583,16 @@ std::shared_ptr<VmObject> VmSystem::MarkCopyOnWrite(MapEntry* entry) {
 // --- shadow-chain collapse (Mach's vm_object_collapse / bypass) -------------
 
 namespace {
-// Pages in transit (pagein, pageout, pending unlock, death-resolution) or
-// pinned by an installing fault make residency unstable: another thread
-// holds raw pointers into this object across a lock drop. Collapse must not
-// touch such an object.
+// A request in flight (a page-in's placeholders, an unlock), a dead
+// manager's error page or a pinned page makes residency unstable: another
+// thread holds raw pointers into this object across a lock drop. Collapse
+// must not touch such an object.
 bool HasUnstablePage(const VmObject* object) {
+  if (!object->requests.empty()) {
+    return true;
+  }
   for (const VmPage* page : object->pages) {
-    if (page->busy || page->absent || page->unavailable || page->error ||
-        page->unlock_pending || page->pin_count > 0) {
+    if (page->busy || page->error || page->pin_count > 0) {
       return true;
     }
   }
@@ -635,8 +642,7 @@ VmSystem::Coverage VmSystem::FullyCoversSelf(const VmObject* object) const {
       covered.insert(off);
     }
   }
-  for (const auto& [off, parked] : object->parked_offsets) {
-    (void)parked;
+  for (VmOffset off : object->parked_offsets) {
     if (off < object->size()) {
       covered.insert(off);
     }
@@ -709,8 +715,7 @@ void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& ob
           break;
         }
       }
-      for (const auto& [so, parked] : s->parked_offsets) {
-        (void)parked;
+      for (VmOffset so : s->parked_offsets) {
         if (!covered_or_resident(so)) {
           backing_only_data = true;
           break;

@@ -62,12 +62,13 @@
 //      NetLink's locks are leaves like these: a kPoll send under an object
 //      lock may forward through a proxy in the sending thread.
 //
-// Blocking operations never hold a lock they could convoy on: waits for busy
-// pages use the owning object's condition variable (targeted wakeups, §5
-// busy/wanted protocol), message sends to managers release the object lock
-// (non-blocking kPoll sends excepted), and a fault installs its frame into
-// the pmap under the map lock only, holding a pin on the page rather than
-// the object lock.
+// Blocking operations never hold a lock they could convoy on: a fault waits
+// for its request to the data manager (a PageRequest on its stack, see
+// vm_object.h), or for another's busy placeholder, on the owning object's
+// condition variable (targeted wakeups, §5 busy/wanted protocol), message
+// sends to managers release the object lock (non-blocking kPoll sends
+// excepted), and a fault installs its frame into the pmap under the map lock
+// only, holding a pin on the page rather than the object lock.
 
 #ifndef SRC_VM_VM_SYSTEM_H_
 #define SRC_VM_VM_SYSTEM_H_
@@ -151,9 +152,9 @@ class VmSystem {
     uint32_t pageout_cluster_max = 16;
 
     // Adaptive fault-ahead: when a cache miss detects a sequential streak
-    // (per-map-entry detector, see FaultAheadState), the fault allocates
-    // busy+absent placeholders for a contiguous run of absent neighbours
-    // and sends one multi-page pager_data_request covering the run. The
+    // (per-map-entry detector, see FaultAheadState), the fault's request
+    // also holds placeholders for a contiguous run of absent neighbours and
+    // sends one multi-page pager_data_request covering the run. The
     // window scales 1→2→4→…→fault_ahead_max across consecutive sequential
     // misses and collapses to 1 on random access. 1 = one request per page
     // (the pre-batching behaviour, kept for the ablation bench). Clamped to
@@ -400,7 +401,8 @@ class VmSystem {
   // one free-list acquisition for the lot.
   void PagesFreeLocked(ObjectLock& olk, const std::vector<VmPage*>& pages);
   // The per-page part of a free: fault-ahead accounting, every hardware
-  // mapping removed, hash and object-list membership dropped.
+  // mapping removed, an unlock asked for the page settled, hash and
+  // object-list membership dropped.
   void PageDetachLocked(VmPage* page);
 
   void PageActivate(VmPage* page);
@@ -428,10 +430,10 @@ class VmSystem {
 
   // --- fault machinery --------------------------------------------------
 
-  // A resolved page, pinned for installation. The pin (VmPage::pin_count)
-  // keeps the page and frame alive after the object lock is dropped;
-  // page_lock is snapshotted so UnpinPage can detect a manager lock that
-  // raced with the install.
+  // A resolved page, pinned for installation (or across any other dropped
+  // object lock). The pin (VmPage::pin_count) keeps the page and frame alive
+  // after the object lock is dropped; page_lock is snapshotted so UnpinPage
+  // can detect a manager lock that raced with the install.
   struct PagePin {
     std::shared_ptr<VmObject> owner;
     VmPage* page = nullptr;
@@ -534,36 +536,64 @@ class VmSystem {
   Result<PagePin> ResolvePage(std::shared_ptr<VmObject> first_object, VmOffset first_offset,
                               VmProt fault_type, uint32_t fa_window = 1);
 
+  // The one pin kind. UnpinPage takes the owner's mu unless the caller
+  // already holds it (`held`).
   PagePin MakePinLocked(ObjectLock& olk, std::shared_ptr<VmObject> owner, VmPage* page,
                         bool from_backing);
-  void UnpinPage(PagePin& pin);
-  void UnpinRaw(const std::shared_ptr<VmObject>& owner, VmPage* page);
+  void UnpinPage(PagePin& pin, ObjectLock* held = nullptr);
 
-  // Waits (bounded slice) on `object`'s condition variable for a page state
-  // change; returns false once `deadline` has passed. `olk` holds the
-  // object's mu.
+  // Waits (bounded slice) on `object`'s condition variable for a request's
+  // answer or a busy page's release; returns false once `deadline` has
+  // passed. `olk` holds the object's mu.
   bool WaitForPage(ObjectLock& olk, VmObject* object,
                    std::chrono::steady_clock::time_point deadline);
 
-  // Settles a busy+absent placeholder whose data will never arrive (the
-  // request never reached the manager, the wait timed out, the manager
-  // died) as zero fill, the §6.2.1 substitute: zeroed, settled and dirty,
-  // since no backing copy of the zeroes exists. Caller holds the owner's mu.
-  void SettleZeroFillLocked(ObjectLock& olk, VmPage* page);
+  // --- requests to the data manager (PageRequest, vm_object.h) ----------
+  // Each runs under the object's mu (`olk`), which a send drops and retakes.
 
-  // Message sends to the object's manager. `olk` (the object's mu) is
-  // released across the send and reacquired; callers revalidate after.
-  // `length` spans the whole run (page-size multiple; one page when no
-  // fault-ahead applies).
-  KernReturn RequestDataFromPager(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
-                                  VmOffset offset, VmSize length, VmProt access);
-  KernReturn RequestUnlockFromPager(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
-                                    VmPage* page, VmProt access);
-  // The send both share. A manager whose queue stays full for the whole
-  // fault-wait budget is an unresponsive manager (§6.1), so the send is
-  // bounded by pager_timeout (and by 2 s at most).
+  // Pages (object, offset) in from its pager-backed object: unparks §6.2.2
+  // data, zero-fills for a dead manager under kZeroFill, or sends one
+  // pager_data_request for the page and up to `window` - 1 absent
+  // neighbours, waits for its answer and returns the demanded page settled
+  // (an error page if the manager died under kError). kMemoryPresent and
+  // kResourceShortage are PageAllocLocked's; any other failure is the
+  // fault's verdict, the placeholders freed.
+  Result<VmPage*> PageInLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                               VmOffset offset, VmProt access, uint32_t window,
+                               bool allow_reserve,
+                               std::chrono::steady_clock::time_point deadline);
+  // Asks for pager_data_unlock of the page at `offset` to `access` and waits
+  // for the answer, or for another fault's request already out. kSuccess
+  // means look at the page again; kMemoryFailure, that the deadline passed.
+  KernReturn RequestUnlockLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                                 VmOffset offset, VmProt access,
+                                 std::chrono::steady_clock::time_point deadline);
+  // Links `req` on `object`, sends `msg` and waits until `req` is settled
+  // or the object dies. A send that fails, and the deadline, settle it as
+  // kTimedOut.
+  void AskLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object, PageRequest& req,
+                 Message msg);
+  // The send of every request. A manager whose queue stays full for the
+  // whole fault-wait budget is an unresponsive manager (§6.1), so the send
+  // is bounded by pager_timeout (and by 2 s at most).
   KernReturn SendToPagerLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
                                Message msg);
+  // The linked request of `kind` whose pages cover `offset`, if any.
+  PageRequest* FindRequestLocked(VmObject& object, PageRequest::Kind kind,
+                                 VmOffset offset) const;
+  // Settles page `i` of `req` (0, the demanded page, for an unlock) as
+  // `outcome`, applying its §6.2.1 substitute, and gives the request the
+  // demanded page's outcome. The one function every answer, the manager's
+  // death, the owner's timeout and the leaving of a page an unlock asked
+  // about settle requests through. A page answered unavailable while a
+  // shadow has its data takes nothing after (PageRequest::unavailable).
+  // Returns whether the page now holds its data (or a substitute) — a
+  // provided page's data is the caller's to write.
+  bool SettleLocked(const VmObject& object, PageRequest& req, uint32_t i,
+                    PageRequest::State outcome);
+  // The owner's last step: unlinks `req` and lets its placeholders go, an
+  // answered one settled in place, the rest freed.
+  void ReleaseRequestLocked(ObjectLock& olk, VmObject& object, PageRequest& req);
 
   // --- objects -----------------------------------------------------------
 
@@ -691,8 +721,8 @@ class VmSystem {
   void HandleFlush(const std::shared_ptr<VmObject>& object, VmOffset offset, VmSize length);
   void HandleClean(const std::shared_ptr<VmObject>& object, VmOffset offset, VmSize length);
   // The pages of [offset, offset + length) a flush or clean handles now:
-  // busy pages are in transit and pinned ones are being installed, so both
-  // are left alone. Caller holds the object's mu.
+  // busy pages are held by a request in flight and pinned ones are being
+  // installed, so both are left alone. Caller holds the object's mu.
   std::vector<VmPage*> RangePagesLocked(VmObject* object, VmOffset offset, VmSize length);
   // memory_object_lock_completed for a flush or clean of [offset, offset +
   // length): its dirty data, if any, went out before on the same port, so
@@ -702,9 +732,10 @@ class VmSystem {
   void HandleCache(const std::shared_ptr<VmObject>& object, bool may_cache);
 
   // Death-notification fast path (§6.2.1): the memory-object port of a
-  // manager died. Resolves every in-flight placeholder page under the
-  // configured on_pager_timeout policy (zero fill or error) and wakes the
-  // faulting threads immediately instead of letting them burn the timeout.
+  // manager died. Settles every request in flight, its unanswered
+  // placeholders under the configured on_pager_timeout policy (zero fill or
+  // error), and wakes the faulting threads immediately instead of letting
+  // them burn the timeout.
   // Takes the object by value: the caller's reference typically aliases the
   // objects_by_pager_ entry this function erases. Caller holds chain_mu_.
   void HandlePagerDeath(ChainLock& chain, std::shared_ptr<VmObject> object);

@@ -1089,5 +1089,167 @@ TEST_F(ErrantManagerTest, FullQueueFailsAnUnlockWithinThePagerTimeout) {
   ASSERT_EQ(vm.Deallocate(task, addr, kPage), KernReturn::kSuccess);
 }
 
+// --- requests that time out ---------------------------------------------------
+
+TEST(FaultAheadPagerTest, ARunThatTimesOutFreesItsSpeculativePages) {
+  // A fault-ahead run whose manager never answers: the demanded page gets
+  // the policy's verdict, and the run's speculative placeholders are freed,
+  // never given one.
+  for (auto policy : {VmSystem::Config::OnPagerTimeout::kZeroFill,
+                      VmSystem::Config::OnPagerTimeout::kError}) {
+    const bool zero_fill = policy == VmSystem::Config::OnPagerTimeout::kZeroFill;
+    Kernel::Config config;
+    config.frames = 64;
+    config.page_size = kPage;
+    config.disk_latency = DiskLatencyModel{0, 0};
+    config.vm.fault_ahead_max = 4;
+    config.vm.pager_timeout = std::chrono::milliseconds(50);
+    config.vm.on_pager_timeout = policy;
+    Kernel kernel(config);
+    std::shared_ptr<Task> task = kernel.CreateTask();
+    const uint64_t baseline = kernel.phys().free_frames();
+    TestPager pager;
+    pager.Start();
+    VmOffset addr = task->VmAllocateWithPager(16 * kPage, pager.NewObject(), 0).value();
+    uint64_t out = 0;
+    // Page 0 asks for one page and page 1 for two, so the streak is open.
+    for (VmOffset p : {0, 1}) {
+      ASSERT_EQ(task->Read(addr + p * kPage, &out, sizeof(out)), KernReturn::kSuccess);
+      EXPECT_EQ(out, TestPager::Stamp(p * kPage));
+    }
+    const VmStatistics before = kernel.vm().Statistics();
+    // Page 3's miss asks for pages 3-6 in one request, and nothing answers.
+    pager.mode = TestPager::Mode::kSilent;
+    out = 0xFF;
+    if (zero_fill) {
+      ASSERT_EQ(task->Read(addr + 3 * kPage, &out, sizeof(out)), KernReturn::kSuccess);
+      EXPECT_EQ(out, 0u);
+    } else {
+      EXPECT_EQ(task->Read(addr + 3 * kPage, &out, sizeof(out)), KernReturn::kMemoryFailure);
+    }
+    const VmStatistics after = kernel.vm().Statistics();
+    EXPECT_EQ(after.fault_ahead_requests - before.fault_ahead_requests, 1u);
+    EXPECT_EQ(after.fault_ahead_pages - before.fault_ahead_pages, 3u);
+    EXPECT_EQ(after.fault_ahead_unused - before.fault_ahead_unused, 3u);
+    ASSERT_EQ(task->VmDeallocate(addr, 16 * kPage), KernReturn::kSuccess);
+    EXPECT_EQ(kernel.phys().free_frames(), baseline);
+    task.reset();
+    pager.Stop();
+  }
+}
+
+TEST(CopyObjectTest, FailedCopyFromTheShadowIsRetriedOnceTheManagerAnswers) {
+  // The default pager answers pager_data_unavailable for a page of a
+  // copy-on-write shadow it never stored, and the kernel copies that page
+  // from the shadow's own backing object (footnote 6). When that copy fails
+  // — the backing object's manager is silent past pager_timeout — the fault
+  // fails, and only the fault: once the manager answers, the page reads.
+  Kernel::Config config;
+  config.frames = 32;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  config.vm.pager_timeout = std::chrono::milliseconds(100);
+  config.vm.on_pager_timeout = VmSystem::Config::OnPagerTimeout::kError;
+  Kernel kernel(config);
+  std::shared_ptr<Task> task = kernel.CreateTask();
+  TestPager pager;
+  pager.Start();
+  VmOffset src = task->VmAllocateWithPager(2 * kPage, pager.NewObject(), 0).value();
+  VmOffset copy = task->VmAllocate(2 * kPage).value();
+  ASSERT_EQ(task->VmCopy(src, 2 * kPage, copy), KernReturn::kSuccess);
+  ASSERT_EQ(task->WriteValue<uint64_t>(copy, 0xC0B1), KernReturn::kSuccess);
+  // Dirtying twice physical memory pages the copy's shadow object out, so
+  // the default pager backs it.
+  constexpr VmSize kPages = 64;
+  VmOffset anon = task->VmAllocate(kPages * kPage).value();
+  for (VmOffset p = 0; p < kPages; ++p) {
+    ASSERT_EQ(task->WriteValue<uint64_t>(anon + p * kPage, p), KernReturn::kSuccess);
+  }
+  pager.mode = TestPager::Mode::kSilent;
+  uint64_t out = 0;
+  EXPECT_EQ(task->Read(copy + kPage, &out, sizeof(out)), KernReturn::kMemoryFailure);
+  pager.mode = TestPager::Mode::kProvide;
+  ASSERT_EQ(task->Read(copy + kPage, &out, sizeof(out)), KernReturn::kSuccess);
+  EXPECT_EQ(out, TestPager::Stamp(kPage));
+  EXPECT_EQ(task->ReadValue<uint64_t>(copy).value(), 0xC0B1u);
+  task.reset();
+  pager.Stop();
+}
+
+TEST(FaultAheadPagerTest, UnavailableRunsAreQueuedForPageout) {
+  // pager_data_unavailable zero-fills a whole fault-ahead run. The pages no
+  // fault touches are queued like provided ones, so pageout can reclaim them.
+  Kernel::Config config;
+  config.frames = 64;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  config.vm.fault_ahead_max = 8;
+  Kernel kernel(config);
+  std::shared_ptr<Task> task = kernel.CreateTask();
+  TestPager pager;
+  pager.mode = TestPager::Mode::kUnavailable;
+  pager.Start();
+  VmOffset addr = task->VmAllocateWithPager(16 * kPage, pager.NewObject(), 0).value();
+  const VmStatistics before = kernel.vm().Statistics();
+  // Runs of 1, 2, 4 and 8 pages: 15 resident, 4 of them touched.
+  for (VmOffset p : {0, 1, 3, 7}) {
+    uint64_t out = 0xFF;
+    ASSERT_EQ(task->Read(addr + p * kPage, &out, sizeof(out)), KernReturn::kSuccess);
+    EXPECT_EQ(out, 0u) << "page " << p;
+  }
+  const VmStatistics after = kernel.vm().Statistics();
+  EXPECT_EQ(before.free_count - after.free_count, 15u);
+  EXPECT_EQ(after.active_count + after.inactive_count,
+            before.active_count + before.inactive_count + 15);
+  task.reset();
+  pager.Stop();
+}
+
+// Answers pager_data_unlock the way a coherence directory does when another
+// kernel's write was served first: it flushes the write-locked copy, then
+// provides the page afresh, unlocked. No pager_data_lock ever comes.
+class FlushThenProvidePager : public TestPager {
+ public:
+  static constexpr uint64_t kFresh = 0xF2E5;
+
+ protected:
+  void OnDataUnlock(uint64_t, uint64_t, PagerDataUnlockArgs args) override {
+    FlushRequest(args.pager_request_port, args.offset, args.length);
+    std::vector<std::byte> data(args.length);
+    std::memcpy(data.data(), &kFresh, sizeof(kFresh));
+    ProvideData(args.pager_request_port, args.offset, std::move(data), kVmProtNone);
+  }
+};
+
+TEST(UnlockRaceTest, UnlockAnsweredByAFlushAndFreshDataEndsTheWait) {
+  // The page an unlock asked about leaves the object, and new data arrives
+  // in its place: the faulter looks again at once and writes, instead of
+  // waiting out pager_timeout for a pager_data_lock.
+  Kernel::Config config;
+  config.frames = 64;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  config.vm.pager_timeout = std::chrono::seconds(2);
+  config.vm.on_pager_timeout = VmSystem::Config::OnPagerTimeout::kError;
+  Kernel kernel(config);
+  std::shared_ptr<Task> task = kernel.CreateTask();
+  FlushThenProvidePager pager;
+  pager.provide_lock = kVmProtWrite;
+  pager.Start();
+  VmOffset addr = task->VmAllocateWithPager(kPage, pager.NewObject(), 0).value();
+  uint64_t out = 0;
+  ASSERT_EQ(task->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
+  EXPECT_EQ(out, TestPager::Stamp(0));
+  const auto start = std::chrono::steady_clock::now();
+  uint32_t v = 0xB0B0;
+  ASSERT_EQ(task->Write(addr + sizeof(uint32_t), &v, sizeof(v)), KernReturn::kSuccess);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // The write landed on the fresh data, not on the flushed copy.
+  ASSERT_EQ(task->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
+  EXPECT_EQ(out, FlushThenProvidePager::kFresh | (uint64_t{0xB0B0} << 32));
+  task.reset();
+  pager.Stop();
+}
+
 }  // namespace
 }  // namespace mach
