@@ -10,7 +10,11 @@
 #   ./ci.sh asan       # tier-1 under ASan+UBSan (-DMACH_SANITIZE=address)
 #   ./ci.sh tsan       # VM/IPC/pager concurrency suites under ThreadSanitizer
 #   ./ci.sh perfbench  # benchmark smoke: every BENCHMARK.json workload for
-#                      # 2 s, traced, seed 1; fails unless each checks out
+#                      # 2 s, seed 1, traced and untraced; fails unless each
+#                      # last line is a strict result (no NaN or Infinity,
+#                      # exactly the four result keys, correct, 0 failed)
+#                      # giving every per_layer (traced) or end_to_end
+#                      # (untraced) metric as a finite number
 #   ./ci.sh all        # all of the above, sequentially
 #   ./ci.sh bench [name...]  # run benchmark binaries, JSON into BENCH_<name>.json
 #                            # (all of bench/ by default; names drop the bench_ prefix)
@@ -95,17 +99,38 @@ case "$mode" in
     # Tier-1 never compiles perfbench/, so a renamed name it uses, or a
     # workload that stops checking out, would otherwise surface only in the
     # benchmark itself. run.py builds its own Release tree (.bench_build/)
-    # and prints its JSON result as the last line.
+    # and prints its JSON result as the last line. Each workload runs
+    # traced, which must report every per_layer metric, and untraced, which
+    # must report every end_to_end metric. The last line is parsed
+    # strictly: a line that is not a result, a NaN or an Infinity fails.
+    check_result='
+import json, math, sys
+def refuse(token):
+    raise ValueError("not a finite number: " + token)
+kind = "per_layer" if sys.argv[1] == "1" else "end_to_end"
+r = json.loads(sys.stdin.read(), parse_constant=refuse)
+if not isinstance(r, dict) or set(r) != {"correct", "attempted", "failed", "metrics"}:
+    sys.exit("not a result: " + json.dumps(r)[:200])
+want = [m["name"] for m in json.load(open("BENCHMARK.json"))[kind]]
+def finite(m):
+    v = m.get("value") if isinstance(m, dict) else None
+    return type(v) in (int, float) and math.isfinite(v)
+bad = [n for n in want if not finite(r["metrics"].get(n))]
+print("correct", r["correct"], "attempted", r["attempted"], "failed", r["failed"],
+      kind, len(want) - len(bad), "of", len(want))
+if bad:
+    sys.exit("missing or not a finite number: " + ", ".join(bad))
+sys.exit(0 if r["correct"] is True and type(r["failed"]) is int and r["failed"] == 0 else 1)'
     workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
     for w in $workloads; do
-      echo "=== perfbench $w"
-      out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 1)
-      grep '^# every cycle repeated exactly' <<<"$out" || true
-      tail -n 1 <<<"$out" | python3 -c '
-import json, sys
-r = json.loads(sys.stdin.read())
-print("correct", r["correct"], "attempted", r["attempted"], "failed", r["failed"])
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+      for trace in 1 0; do
+        echo "=== perfbench $w trace=$trace"
+        out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace "$trace")
+        if [ "$trace" = 1 ]; then
+          grep '^# every cycle repeated exactly' <<<"$out" || true
+        fi
+        tail -n 1 <<<"$out" | python3 -c "$check_result" "$trace"
+      done
     done
     ;;
   all)

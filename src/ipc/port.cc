@@ -43,7 +43,7 @@ Port::Port(std::string label)
 
 Port::~Port() { PortGc::Instance().Unregister(this); }
 
-KernReturn Port::Enqueue(Message&& msg, Timeout timeout) {
+KernReturn Port::Enqueue(Message&& msg, Timeout timeout, size_t extra_room) {
   if (IpcFaultShouldOverflowEnqueue()) {
     // Simulated queue overflow. The caller's message — rights and all — is
     // destroyed through the ordinary path, exactly like a genuine kPortFull.
@@ -59,20 +59,20 @@ KernReturn Port::Enqueue(Message&& msg, Timeout timeout) {
       return *served;
     }
   }
-  return Queue(std::move(msg), timeout);
+  return Queue(std::move(msg), timeout, extra_room);
 }
 
-KernReturn Port::Queue(Message&& msg, Timeout timeout) {
+KernReturn Port::Queue(Message&& msg, Timeout timeout, size_t extra_room) {
   std::shared_ptr<PortSet> set_to_notify;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    bool ok = WaitFor(send_cv_, lock, timeout,
-                      [this] { return dead_ || queue_.size() < backlog_; });
+    auto full = [&] { return queue_.size() >= backlog_ + extra_room; };
+    bool ok = WaitFor(send_cv_, lock, timeout, [&] { return dead_ || !full(); });
     if (dead_) {
       return KernReturn::kPortDead;
     }
     if (!ok) {
-      return queue_.size() >= backlog_ ? KernReturn::kPortFull : KernReturn::kTimedOut;
+      return full() ? KernReturn::kPortFull : KernReturn::kTimedOut;
     }
     queue_.push_back(std::move(msg));
     set_to_notify = set_.lock();

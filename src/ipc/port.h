@@ -66,8 +66,7 @@ class Port;
 // Serves messages sent to a kernel-owned port in the sender's thread (see
 // Port::SetKernelObjectHandler), given the sender's timeout. Returns the
 // send's status once it has taken `msg`, or nullopt to leave `msg`
-// untouched, to be queued as usual. A handler that must act after its
-// message is queued queues it itself (Port::Queue).
+// untouched, to be queued as usual.
 using KernelObjectHandler =
     std::function<std::optional<KernReturn>(Port& port, Message& msg, Timeout timeout)>;
 
@@ -93,11 +92,11 @@ class Port : public std::enable_shared_from_this<Port> {
   // --- primitive operations (used via the free functions below) -------
 
   // Enqueues a message; blocks (up to `timeout`) while the backlog is full.
-  KernReturn Enqueue(Message&& msg, Timeout timeout);
-
-  // The queue half of Enqueue: no fault points, no kernel-object handler.
-  // On failure `msg` is left to the caller.
-  KernReturn Queue(Message&& msg, Timeout timeout);
+  // `extra_room` lets the queue hold that many messages past its backlog:
+  // a transport that must not wait (NetLink) passes its own proxy backlog,
+  // so a full target takes what the proxy would have held. On failure `msg`
+  // is left to the caller.
+  KernReturn Enqueue(Message&& msg, Timeout timeout, size_t extra_room = 0);
 
   // Dequeues the next message; blocks (up to `timeout`) while empty.
   // Fails with kPortDead once the port is destroyed *and* drained.
@@ -152,6 +151,9 @@ class Port : public std::enable_shared_from_this<Port> {
   friend struct PortFactory;
 
   explicit Port(std::string label);
+
+  // The queue half of Enqueue: no fault points, no kernel-object handler.
+  KernReturn Queue(Message&& msg, Timeout timeout, size_t extra_room);
 
   // Destroys the port: fails senders/receivers, drains the queue, fires
   // death notifications. Idempotent.

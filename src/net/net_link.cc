@@ -1,7 +1,6 @@
 #include "src/net/net_link.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <utility>
 #include <variant>
@@ -15,10 +14,9 @@ namespace {
 // A SACK is a small control frame: sequence range + fragment bitmap.
 constexpr uint64_t kSackFrameBytes = 16;
 
-// The thread's idle tick (one heartbeat per quiet tick) and its bound on a
-// delivery into a full port.
-constexpr std::chrono::milliseconds kTick{20};
-constexpr std::chrono::milliseconds kDeliverTimeout{2000};
+// A proxy's backlog, and the room a target at its own backlog has left for
+// messages from the link.
+constexpr size_t kProxyBacklog = 1024;
 
 // A best-effort copy for duplicate delivery. Receive rights cannot be
 // duplicated (there is one receiver), so a message carrying one is never
@@ -65,25 +63,17 @@ NetLink::NetLink(VmSystem* vm_a, VmSystem* vm_b, SimClock* clock, NetLatencyMode
   b_to_a_.dst_vm = vm_a;
   a_to_b_.reverse = &b_to_a_;
   b_to_a_.reverse = &a_to_b_;
-  a_to_b_.thread = std::thread([this] { ThreadLoop(a_to_b_); });
-  b_to_a_.thread = std::thread([this] { ThreadLoop(b_to_a_); });
 }
 
 NetLink::~NetLink() {
-  // Proxies die first, so a sender waiting for room on one fails with
-  // kPortDead rather than holding the gate open.
+  // Proxies die first: later sends fail with kPortDead at the proxy.
   KillProxies(a_to_b_);
   KillProxies(b_to_a_);
-  // Calls in flight finish; later ones decline to their (dead) proxy, and
-  // target-death actions no-op.
+  // Calls in flight finish; only a blocking sender more than a proxy
+  // backlog ahead of its target's receiver waits, and only under its own
+  // timeout. Later calls decline to their dead proxy, and target-death
+  // actions no-op.
   life_->Close();
-  running_.store(false, std::memory_order_release);
-  for (Direction* dir : {&a_to_b_, &b_to_a_}) {
-    { std::lock_guard<std::mutex> g(dir->wake_mu); }
-    dir->wake_cv.notify_one();
-  }
-  a_to_b_.thread.join();
-  b_to_a_.thread.join();
 }
 
 void NetLink::LifeToken::Close() {
@@ -134,7 +124,7 @@ SendRight NetLink::MakeProxy(Direction& dir, SendRight target) {
     }
   }
   PortPair pair = PortAllocate("netproxy:" + target.label());
-  pair.receive.port()->SetBacklog(1024);
+  pair.receive.port()->SetBacklog(kProxyBacklog);
   // Installed before the send right leaves: every send to the proxy runs
   // the link's handler. It captures no port rights (PortGc cannot see into
   // it); the token gates ~NetLink.
@@ -146,9 +136,8 @@ SendRight NetLink::MakeProxy(Direction& dir, SendRight target) {
         if (call.link() == nullptr) {
           return std::nullopt;  // Queued on the proxy, which dies with the link.
         }
-        return call.link()->OnProxySend(*dir_ptr, port, msg, timeout);
+        return call.link()->Forward(*dir_ptr, port.id(), std::move(msg), timeout);
       });
-  dir.set->Add(pair.receive);
   SendRight existing;
   {
     std::lock_guard<std::mutex> g(dir.mu);
@@ -162,7 +151,6 @@ SendRight NetLink::MakeProxy(Direction& dir, SendRight target) {
     }
   }
   if (existing.valid()) {
-    dir.set->Remove(pair.receive);
     return existing;  // The unused proxy dies here.
   }
   // Propagate target death eagerly: remote senders observe port death the
@@ -203,7 +191,6 @@ void NetLink::KillProxy(Direction& dir, uint64_t target_id) {
     }
   }
   // Outside dir.mu: destroying a right re-enters its port.
-  dir.set->Remove(receive);
   receive.Destroy();
 }
 
@@ -221,7 +208,6 @@ void NetLink::KillProxies(Direction& dir) {
     receives.swap(dir.receives);
   }
   for (ReceiveRight& r : receives) {
-    dir.set->Remove(r);
     r.Destroy();
   }
 }
@@ -244,79 +230,9 @@ SendRight NetLink::RewriteRight(Direction& dir, SendRight right) {
   return MakeProxy(*dir.reverse, std::move(right));
 }
 
-std::optional<KernReturn> NetLink::OnProxySend(Direction& dir, Port& proxy, Message& msg,
-                                               Timeout timeout) {
-  // `pending` before `busy`: the thread sets busy before it clears pending,
-  // so a sender that finds pending clear after work was queued finds the
-  // thread busy until that work is done.
-  const bool carries_ool = std::any_of(msg.items().begin(), msg.items().end(),
-                                       [](const MsgItem& item) {
-                                         return std::holds_alternative<OolItem>(item);
-                                       });
-  if (!dir.pending.load() && !dir.busy.load() && !carries_ool) {
-    return Forward(dir, proxy.id(), std::move(msg), /*in_sender=*/true);
-  }
-  // Otherwise the message waits for the direction's thread, queued on the
-  // proxy, whose backlog refuses a polling sender when full.
-  KernReturn kr = proxy.Queue(std::move(msg), timeout);
-  if (IsOk(kr)) {
-    Wake(dir);
-  }
-  return kr;
-}
-
-void NetLink::Wake(Direction& dir) {
-  {
-    std::lock_guard<std::mutex> g(dir.wake_mu);
-    dir.pending.store(true);
-  }
-  dir.wake_cv.notify_one();
-}
-
-void NetLink::ThreadLoop(Direction& dir) {
-  while (running_.load(std::memory_order_acquire)) {
-    {
-      std::unique_lock<std::mutex> lk(dir.wake_mu);
-      const bool woken = dir.wake_cv.wait_for(lk, kTick, [&] {
-        return dir.pending.load() || !running_.load(std::memory_order_acquire);
-      });
-      if (!running_.load(std::memory_order_acquire)) {
-        return;
-      }
-      if (!woken) {
-        lk.unlock();
-        Tick(dir);
-        continue;
-      }
-      dir.busy.store(true);
-      dir.pending.store(false);
-    }
-    for (;;) {
-      Result<PortSet::ReceivedMessage> got = dir.set->ReceiveFrom(kPoll);
-      // Whatever was handed off before `got` was queued goes first.
-      DeliverHandedOff(dir);
-      if (!got.ok()) {
-        break;
-      }
-      Forward(dir, got.value().port_id, std::move(got.value().message), /*in_sender=*/false);
-    }
-    dir.busy.store(false);
-  }
-}
-
-void NetLink::DeliverHandedOff(Direction& dir) {
-  for (;;) {
-    Crossed crossed;
-    {
-      std::lock_guard<std::mutex> g(dir.wake_mu);
-      if (dir.undelivered.empty()) {
-        return;
-      }
-      crossed = std::move(dir.undelivered.front());
-      dir.undelivered.pop_front();
-    }
-    Deliver(dir, std::move(crossed), kDeliverTimeout);
-  }
+void NetLink::Tick() {
+  Tick(a_to_b_);
+  Tick(b_to_a_);
 }
 
 void NetLink::Tick(Direction& dir) {
@@ -331,7 +247,7 @@ void NetLink::Tick(Direction& dir) {
     }
     // Idle: probe the peer. Heartbeats are control-plane only — they
     // consult the partition switch but never the injector (their count
-    // depends on wall-clock idle time, which would perturb the
+    // depends on how often Tick is called, which would perturb the
     // deterministic per-point fault sequences) and charge no virtual
     // latency. They are what pushes a quiet partitioned direction over the
     // peer-dead threshold, and what heals it after SetPartitioned.
@@ -343,17 +259,17 @@ void NetLink::Tick(Direction& dir) {
   }
 }
 
-KernReturn NetLink::Forward(Direction& dir, uint64_t proxy_id, Message&& msg, bool in_sender) {
-  Crossed crossed;
+KernReturn NetLink::Forward(Direction& dir, uint64_t proxy_id, Message&& msg, Timeout timeout) {
+  SendRight target;
   {
     std::lock_guard<std::mutex> g(dir.mu);
     auto it = dir.target_by_proxy.find(proxy_id);
     if (it == dir.target_by_proxy.end()) {
       return KernReturn::kPortDead;  // The proxy is being killed.
     }
-    crossed.target = it->second;
+    target = it->second;
   }
-  crossed.payload_bytes = msg.InlineSize();
+  uint64_t payload_bytes = msg.InlineSize();
 
   // Rewrite the reply port and all port rights in the body.
   msg.set_reply_port(RewriteRight(dir, msg.reply_port()));
@@ -362,13 +278,15 @@ KernReturn NetLink::Forward(Direction& dir, uint64_t proxy_id, Message&& msg, bo
       port_item->right = RewriteRight(dir, std::move(port_item->right));
     } else if (auto* ool = std::get_if<OolItem>(&item)) {
       // Out-of-line memory crosses the wire as bytes and is rebuilt as
-      // fresh memory in the destination kernel (only ever on the thread:
-      // the rebuild may wait for frames).
+      // fresh memory in the destination kernel, here in the sender's
+      // thread, as a local out-of-line send copies in its sender's. The
+      // rebuild may wait for frames; the kernel's own polling sends carry
+      // no out-of-line memory (DESIGN deviation 2), so they never wait here.
       auto copy = std::static_pointer_cast<VmMapCopy>(ool->copy);
       if (copy != nullptr && copy->system() != nullptr) {
         Result<std::vector<std::byte>> flat = copy->system()->CopyAsBytes(copy);
         if (flat.ok()) {
-          crossed.payload_bytes += flat.value().size();
+          payload_bytes += flat.value().size();
           Result<std::shared_ptr<VmMapCopy>> rebuilt =
               dir.dst_vm->CopyFromBytes(flat.value().data(), flat.value().size());
           if (rebuilt.ok()) {
@@ -387,22 +305,24 @@ KernReturn NetLink::Forward(Direction& dir, uint64_t proxy_id, Message&& msg, bo
   // reliable mode, a single all-or-nothing traversal otherwise. A message
   // that does not make it is counted lost exactly once, here and only here
   // — attempt-level drops accumulate separately in messages_dropped.
+  uint64_t seq = 0;
   bool on_wire = false;
   bool peer_died = false;
+  std::optional<Message> duplicate;  // The wire's replay, trailing `msg`.
   {
     std::lock_guard<std::mutex> g(dir.wire_mu);
     dir.crossed = true;
-    crossed.seq = dir.next_seq++;
-    on_wire = faults_.reliable ? SendReliable(dir, crossed.payload_bytes, &peer_died)
-                               : Transmit(crossed.payload_bytes);
+    seq = dir.next_seq++;
+    on_wire = faults_.reliable ? SendReliable(dir, payload_bytes, &peer_died)
+                               : Transmit(payload_bytes);
     if (on_wire) {
       // The wire may deliver the message twice; clone it before the
       // original is moved out for delivery.
       if (faults_.injector != nullptr && faults_.injector->ShouldFail(kFaultDuplicate)) {
-        crossed.duplicate = CloneMessage(msg);
+        duplicate = CloneMessage(msg);
       }
       messages_.fetch_add(1, std::memory_order_relaxed);
-      bytes_.fetch_add(crossed.payload_bytes, std::memory_order_relaxed);
+      bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
     } else {
       lost_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -410,39 +330,29 @@ KernReturn NetLink::Forward(Direction& dir, uint64_t proxy_id, Message&& msg, bo
   if (peer_died) {
     KillProxies(dir);
   }
-  if (on_wire) {
-    crossed.msg = std::move(msg);
-    Deliver(dir, std::move(crossed), in_sender ? Timeout(kPoll) : kDeliverTimeout);
+  if (!on_wire) {
+    return KernReturn::kSuccess;  // Lost on the wire, as a datagram may be.
   }
-  return KernReturn::kSuccess;
-}
 
-void NetLink::Deliver(Direction& dir, Crossed&& crossed, Timeout timeout) {
-  const KernReturn kr = MsgSend(crossed.target, std::move(crossed.msg), timeout);
-  if (kr == KernReturn::kPortFull && timeout == kPoll) {
-    // No room, and the sender's thread must not wait: the message is left
-    // to us (a failed send does not consume it) for the thread to deliver.
-    {
-      std::lock_guard<std::mutex> g(dir.wake_mu);
-      dir.undelivered.push_back(std::move(crossed));
-    }
-    Wake(dir);
-    return;
-  }
+  // A full target takes up to a proxy's backlog more from the link. Past
+  // that a polling sender is refused (kPortFull) and a blocking one waits
+  // for room under its own timeout, as a local send does.
+  const KernReturn kr = target.port()->Enqueue(std::move(msg), timeout, kProxyBacklog);
   if (IsOk(kr)) {
     // Receiver-side cumulative ack: advances only when a message is
     // actually delivered.
     std::lock_guard<std::mutex> g(dir.wire_mu);
-    dir.delivered_up_to = std::max(dir.delivered_up_to, crossed.seq);
+    dir.delivered_up_to = std::max(dir.delivered_up_to, seq);
   }
 
-  // The duplicate trails the original and has to survive the wire itself.
-  if (crossed.duplicate.has_value() && kr != KernReturn::kPortDead) {
+  // The duplicate trails the delivered original and has to survive the
+  // wire itself.
+  if (duplicate.has_value() && IsOk(kr)) {
     bool replayed = false;
     {
       std::lock_guard<std::mutex> g(dir.wire_mu);
-      if (Transmit(crossed.payload_bytes)) {
-        if (faults_.reliable && crossed.seq <= dir.delivered_up_to) {
+      if (Transmit(payload_bytes)) {
+        if (faults_.reliable && seq <= dir.delivered_up_to) {
           // The cumulative ack already covers this sequence number: the
           // reliable receiver suppresses the replay.
           dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
@@ -453,15 +363,16 @@ void NetLink::Deliver(Direction& dir, Crossed&& crossed, Timeout timeout) {
       }
     }
     if (replayed) {
-      // A polling replay that finds no room is dropped, as the wire may be.
-      MsgSend(crossed.target, std::move(crossed.duplicate).value(), timeout);
+      // A replay that finds no room is dropped, as the wire may be.
+      target.port()->Enqueue(std::move(duplicate).value(), kPoll, kProxyBacklog);
     }
   }
 
   if (kr == KernReturn::kPortDead) {
     // Target died: kill the proxy so senders see port death too.
-    KillProxy(dir, crossed.target.id());
+    KillProxy(dir, target.id());
   }
+  return kr;
 }
 
 bool NetLink::SendReliable(Direction& dir, uint64_t payload_bytes, bool* peer_died) {

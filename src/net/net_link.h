@@ -6,20 +6,22 @@
 // A proxy is a real port whose receive right the link holds. Every proxy
 // carries a kernel-object handler (the hook the kernel's own ports use), so
 // a send to it runs the forward step in the sender's thread: rewrite port
-// rights so replies come back through the link, cross the latency model,
-// and deliver to the target port on the other host. A remote page-in is
-// then one thread handoff each way, and a manager's call to a remote kernel
-// has taken effect when its msg_send returns.
+// rights so replies come back through the link, flatten out-of-line memory
+// into bytes on the wire (rebuilt as fresh memory in the destination kernel
+// — network copy-on-reference is built on top of this by the migration
+// manager), cross the latency model, and deliver to the target port on the
+// other host. The link has no threads of its own. A remote page-in is then
+// one thread handoff each way, and a manager's call to a remote kernel has
+// taken effect when its msg_send returns.
 //
-// Each direction keeps one thread, for the work that may wait: delivering
-// into a full port, flattening out-of-line memory into bytes on the wire
-// (rebuilt as fresh memory in the destination kernel — network
-// copy-on-reference is built on top of this by the migration manager), and
-// the failure detector's idle heartbeats. A message that cannot be
-// delivered without waiting is queued on its proxy for that thread, and so
-// is every later message of its direction until the thread has caught up:
-// no message overtakes an earlier one. A proxy's queue keeps its backlog,
-// so a full proxy still refuses a polling sender.
+// A target at its backlog takes up to a proxy's backlog more messages from
+// the link. Past that a polling send is refused with kPortFull, so a
+// polling sender such as pageout parks (§6.2.2) and never waits, and a
+// blocking sender waits for room under its own timeout, as a local send
+// does. A proxy send returns the target's status (kPortDead for a dead
+// target); a message lost on the wire returns kSuccess, as a datagram
+// does. Every accepted message is in its target's queue when its send
+// returns, so each direction delivers in the order its sends returned.
 //
 // §7 gives the regimes: remote access ≈ sub-microsecond on a MultiMax-class
 // UMA, ≈5 µs through a Butterfly-class NUMA switch (≈10x local), and
@@ -40,26 +42,25 @@
 // whole message.
 //
 // An optional failure detector sits on top: consecutive transport timeouts
-// and idle-time heartbeats drive a per-direction health state machine
-// kUp → kDegraded → kPeerDead. Declaring the peer dead kills every proxy
-// port in that direction, which flows through the ordinary port-death
-// notification path — remote kernels resolve parked faulters per their
-// OnPagerTimeout policy immediately, and data managers get OnPortDeath for
-// their request ports — instead of every waiter burning the 5 s pager
-// timeout. SetPartitioned(false) heals: the next successful heartbeat
-// re-enters kUp and fresh proxies can be minted.
+// and heartbeats drive a per-direction health state machine
+// kUp → kDegraded → kPeerDead. The link never reads the wall clock: it
+// sends heartbeats only when Tick() is called, so whoever wants a quiet
+// link's failure detected calls Tick() periodically (the tests' LinkTimer
+// calls it every 20 ms) or in a loop. Declaring the peer dead kills every
+// proxy port in that direction, which flows through the ordinary
+// port-death notification path — remote kernels resolve parked faulters
+// per their OnPagerTimeout policy immediately, and data managers get
+// OnPortDeath for their request ports — instead of every waiter burning
+// the 5 s pager timeout. SetPartitioned(false) heals: the next successful
+// heartbeat re-enters kUp and fresh proxies can be minted.
 
 #ifndef SRC_NET_NET_LINK_H_
 #define SRC_NET_NET_LINK_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -124,8 +125,9 @@ class NetLink {
   // SACK). SACK control frames consult only net.ack_drop — the control
   // plane can be faulted independently of the data plane — plus
   // net.duplicate for a duplicated (idempotently re-applied) SACK.
-  // Heartbeats consult no points at all: their count depends on wall-clock
-  // idle time, which would perturb the deterministic per-point sequences.
+  // Heartbeats consult no points at all: their count depends on how often
+  // Tick() is called, which would perturb the deterministic per-point
+  // sequences.
   static constexpr const char* kFaultDrop = "net.drop";
   static constexpr const char* kFaultDuplicate = "net.duplicate";
   static constexpr const char* kFaultDelay = "net.delay";
@@ -152,6 +154,12 @@ class NetLink {
   // Heals (or breaks) both directions at once.
   void SetPartitioned(bool on) { partitioned_.store(on, std::memory_order_release); }
   bool partitioned() const { return partitioned_.load(std::memory_order_acquire); }
+
+  // One heartbeat round: each direction that carried no message since the
+  // previous round probes its peer, feeding the failure detector (a no-op
+  // with failure_detector off). Any thread may call it while the link
+  // lives; nothing else sends heartbeats.
+  void Tick();
 
   // Failure-detector observability, per direction.
   struct LinkDirectionStatus {
@@ -197,15 +205,6 @@ class NetLink {
   uint64_t heartbeats_sent() const { return heartbeats_sent_.load(std::memory_order_relaxed); }
 
  private:
-  // A message past the wire, on its way to the target.
-  struct Crossed {
-    SendRight target;
-    Message msg;
-    std::optional<Message> duplicate;  // The wire's replay, trailing `msg`.
-    uint64_t seq = 0;
-    uint64_t payload_bytes = 0;
-  };
-
   // One direction of the link. Its locks are leaves below the VM tiers: a
   // kPoll sender may forward under an object lock, and nothing that sends,
   // destroys a right or enters a kernel runs under them.
@@ -213,7 +212,6 @@ class NetLink {
     const char* name = "";
     VmSystem* dst_vm = nullptr;  // OOL is rebuilt into this kernel.
     Direction* reverse = nullptr;
-    std::shared_ptr<PortSet> set = PortSet::Create();
     // Guards the proxy maps.
     std::mutex mu;
     // target port id -> proxy (cached so a port exports to one proxy).
@@ -227,7 +225,7 @@ class NetLink {
     // cumulative ack, so "seq <= delivered_up_to" detects a replay (it
     // advances by max: concurrent senders deliver out of sequence order).
     // srtt/rttvar: the RTT estimator (RFC 6298 shape over virtual time).
-    // `crossed`: a message crossed since the last heartbeat tick.
+    // `crossed`: a message crossed since the last Tick.
     std::mutex wire_mu;
     uint64_t next_seq = 1;
     uint64_t delivered_up_to = 0;
@@ -239,18 +237,6 @@ class NetLink {
     std::atomic<LinkHealth> health{LinkHealth::kUp};
     std::atomic<uint32_t> consecutive_timeouts{0};
     std::atomic<uint64_t> rto_ns{0};
-    // The direction's thread and its work: messages queued on the proxies,
-    // and crossed ones whose target was full (`undelivered`, guarded by
-    // wake_mu). A sender forwards in its own thread only while `pending`
-    // and `busy` are both clear. `pending` is set once work is queued and
-    // cleared when the thread picks it up; `busy` is set before the thread
-    // picks anything up and cleared once it finds nothing left.
-    std::mutex wake_mu;
-    std::condition_variable wake_cv;
-    std::deque<Crossed> undelivered;
-    std::atomic<bool> pending{false};
-    std::atomic<bool> busy{false};
-    std::thread thread;
   };
 
   // The gate for calls into the link from other threads: proxy handlers and
@@ -270,21 +256,13 @@ class NetLink {
   // Rewrites a port right crossing the link in direction `dir`: unwrap it if
   // it is one of `dir`'s proxies, otherwise wrap it in a reverse proxy.
   SendRight RewriteRight(Direction& dir, SendRight right);
-  // A proxy's handler: forwards `msg` in the sender's thread when nothing of
-  // its direction waits, otherwise queues it on the proxy for the thread.
-  std::optional<KernReturn> OnProxySend(Direction& dir, Port& proxy, Message& msg,
-                                        Timeout timeout);
-  // The forward step: rewrite rights, flatten OOL (the thread only), cross
-  // the wire, deliver. kPortDead if the proxy is no longer mapped.
-  KernReturn Forward(Direction& dir, uint64_t proxy_id, Message&& msg, bool in_sender);
-  // Delivers a crossed message (then its replay, if any). A polling
-  // delivery that finds the target full hands the message to the thread.
-  void Deliver(Direction& dir, Crossed&& crossed, Timeout timeout);
-  // Marks work pending for `dir`'s thread and wakes it.
-  void Wake(Direction& dir);
-  void ThreadLoop(Direction& dir);
-  void DeliverHandedOff(Direction& dir);
-  // A heartbeat tick: probes the peer if no message crossed since the last.
+  // A proxy's handler, in the sender's thread: rewrite rights, flatten
+  // OOL, cross the wire, deliver under the sender's timeout. Returns the
+  // target's status, kSuccess if the wire lost the message, or kPortDead
+  // if the proxy is no longer mapped.
+  KernReturn Forward(Direction& dir, uint64_t proxy_id, Message&& msg, Timeout timeout);
+  // One direction's heartbeat: probes the peer if no message crossed since
+  // the last.
   void Tick(Direction& dir);
   // One wire traversal of a whole (unreliable) message: charges latency and
   // decides drop/delay. Returns false if the transmission was dropped.
@@ -320,7 +298,6 @@ class NetLink {
   const std::shared_ptr<LifeToken> life_;
   Direction a_to_b_;  // Proxies that live on A and target ports on B.
   Direction b_to_a_;
-  std::atomic<bool> running_{true};
   std::atomic<bool> partitioned_{false};
   std::atomic<uint64_t> messages_{0};
   std::atomic<uint64_t> bytes_{0};

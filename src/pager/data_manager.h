@@ -74,8 +74,7 @@ class DataManager {
 
   // --- Table 3-6 helpers (manager -> kernel, all asynchronous) ----------
   // No reply is awaited. The kernel applies the call in the caller's thread
-  // before the send returns, behind a NetLink proxy too, unless the link's
-  // direction is deferring: then the link's thread applies it later.
+  // before the send returns, behind a NetLink proxy too.
 
   static KernReturn ProvideData(const SendRight& request_port, VmOffset offset,
                                 std::vector<std::byte> data, VmProt lock_value);

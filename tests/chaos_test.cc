@@ -34,6 +34,7 @@
 #include "src/managers/shm/shm_broker.h"
 #include "src/net/net_link.h"
 #include "src/pager/data_manager.h"
+#include "tests/workload/link_timer.h"
 #include "tests/workload/tenant_workload.h"
 
 namespace mach {
@@ -208,6 +209,7 @@ class ChaosSoak {
     net.dead_after_timeouts = 14;
     link_ = std::make_unique<NetLink>(&host_a_->vm(), &host_b_->vm(), &net_clock_,
                                       kNormaLatency, net);
+    link_timer_ = std::make_unique<LinkTimer>(link_.get());
   }
 
   void Run() {
@@ -867,6 +869,7 @@ class ChaosSoak {
   std::unique_ptr<Kernel> host_a_;
   std::unique_ptr<Kernel> host_b_;
   std::unique_ptr<NetLink> link_;
+  std::unique_ptr<LinkTimer> link_timer_;  // Heartbeats; stops before link_ dies.
 };
 
 // The E15 tenant-serving workload in miniature: two hosts, four tenants,

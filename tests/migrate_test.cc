@@ -235,7 +235,7 @@ TEST_F(MigrateTest, LinkDeathMidMigrationAbortsThenRetrySucceeds) {
   while ((link.a_to_b_status().health != LinkHealth::kUp ||
           link.b_to_a_status().health != LinkHealth::kUp) &&
          std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    link.Tick();
   }
   ASSERT_EQ(link.a_to_b_status().health, LinkHealth::kUp);
   ASSERT_EQ(link.b_to_a_status().health, LinkHealth::kUp);

@@ -18,6 +18,7 @@
 #include "src/kernel/task.h"
 #include "src/net/net_link.h"
 #include "src/pager/data_manager.h"
+#include "tests/workload/link_timer.h"
 
 namespace mach {
 namespace {
@@ -511,7 +512,7 @@ TEST_F(NetTest, FailureDetectorDegradesThenDeclaresPeerDead) {
   // the proxy is killed, so senders see port death instead of hanging.
   while (link.a_to_b_status().health != LinkHealth::kPeerDead &&
          std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    link.Tick();
   }
   ASSERT_EQ(link.a_to_b_status().health, LinkHealth::kPeerDead);
   EXPECT_GE(link.peer_dead_events(), 1u);
@@ -523,7 +524,7 @@ TEST_F(NetTest, FailureDetectorDegradesThenDeclaresPeerDead) {
   while ((link.a_to_b_status().health != LinkHealth::kUp ||
           link.b_to_a_status().health != LinkHealth::kUp) &&
          std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    link.Tick();
   }
   ASSERT_EQ(link.a_to_b_status().health, LinkHealth::kUp);
   SendRight fresh = link.ProxyForA(on_b.send);
@@ -536,6 +537,37 @@ TEST_F(NetTest, FailureDetectorDegradesThenDeclaresPeerDead) {
   // Successful traffic seeded the RTT estimator.
   EXPECT_GE(link.a_to_b_status().rto_ns, faults.min_rto_ns);
   EXPECT_GE(link.heartbeats_sent(), 4u);
+}
+
+TEST_F(NetTest, HeartbeatsCountTicksNotWallTime) {
+  // The link never reads the wall clock: on a quiet link each Tick() sends
+  // one heartbeat per direction, and the health machine moves per call.
+  NetFaultConfig faults;
+  faults.failure_detector = true;
+  faults.degraded_after_timeouts = 2;
+  faults.dead_after_timeouts = 4;
+  NetLink link(&host_a_->vm(), &host_b_->vm(), &clock_, kUmaLatency, faults);
+  PortPair on_b = PortAllocate("heartbeat-target");
+  SendRight proxy = link.ProxyForA(on_b.send);
+  link.SetPartitioned(true);
+
+  const LinkHealth want[] = {LinkHealth::kUp, LinkHealth::kDegraded, LinkHealth::kDegraded,
+                             LinkHealth::kPeerDead};
+  for (uint64_t tick = 1; tick <= 4; ++tick) {
+    EXPECT_FALSE(proxy.IsDead()) << "before tick " << tick;
+    link.Tick();
+    EXPECT_EQ(link.a_to_b_status().health, want[tick - 1]) << "tick " << tick;
+    EXPECT_EQ(link.b_to_a_status().health, want[tick - 1]) << "tick " << tick;
+    EXPECT_EQ(link.heartbeats_sent(), 2 * tick);
+  }
+  EXPECT_TRUE(proxy.IsDead());
+  EXPECT_EQ(link.peer_dead_events(), 2u);
+
+  link.SetPartitioned(false);
+  link.Tick();
+  EXPECT_EQ(link.a_to_b_status().health, LinkHealth::kUp);
+  EXPECT_EQ(link.b_to_a_status().health, LinkHealth::kUp);
+  EXPECT_EQ(link.heartbeats_sent(), 10u);
 }
 
 // A data manager that never answers: any fault against its objects parks
@@ -575,6 +607,7 @@ TEST_F(NetTest, PeerDeathResolvesParkedRemoteFaulterQuickly) {
   faults.degraded_after_timeouts = 1;
   faults.dead_after_timeouts = 3;
   NetLink link(&host_a_->vm(), &zf_host->vm(), &clock_, kUmaLatency, faults);
+  LinkTimer timer(&link);
   SendRight exported = link.ProxyForB(object);  // Usable on the zero-fill host.
 
   std::shared_ptr<Task> task = zf_host->CreateTask();
@@ -692,6 +725,29 @@ TEST_F(NetTest, DeferredSendsKeepTheirOrderAndTheProxyBacklogPushesBack) {
   EXPECT_EQ(kr, KernReturn::kPortFull);
   EXPECT_GE(accepted, proxy_status.backlog);
   on_b.receive.Destroy();  // Fails the thread's delivery; the proxy dies.
+}
+
+TEST_F(NetTest, PollingSendIntoAFullTargetIsQueuedBeforeItReturns) {
+  // Pageout sends pager_data_write with kPoll and counts the run written
+  // once the send succeeds. Through the link, a target at its backlog
+  // takes the message at once, so a successful send has nothing left to
+  // lose.
+  NetFaultConfig faults;
+  faults.reliable = true;
+  NetLink link(&host_a_->vm(), &host_b_->vm(), &clock_, kUmaLatency, faults);
+  PortPair on_b = PortAllocate("full-target");
+  ASSERT_EQ(on_b.receive.port()->SetBacklog(1), KernReturn::kSuccess);
+  ASSERT_EQ(MsgSend(on_b.send, Message(1), kPoll), KernReturn::kSuccess);  // Now full.
+  SendRight proxy = link.ProxyForA(on_b.send);
+
+  ASSERT_EQ(MsgSend(proxy, Message(2), kPoll), KernReturn::kSuccess);
+  EXPECT_EQ(on_b.receive.port()->Status().num_msgs, 2u);
+  for (MsgId want : {1u, 2u}) {
+    Result<Message> got = MsgReceive(on_b.receive, kPoll);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value().id(), want);
+  }
+  EXPECT_EQ(link.messages_lost(), 0u);
 }
 
 TEST_F(NetTest, SendersRacingLinkTeardownSeeSuccessOrPortDeath) {

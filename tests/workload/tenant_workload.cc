@@ -23,6 +23,7 @@
 #include "src/managers/shm/shm_broker.h"
 #include "src/managers/shm/shm_directory.h"
 #include "src/net/net_link.h"
+#include "tests/workload/link_timer.h"
 
 namespace mach {
 namespace {
@@ -115,6 +116,7 @@ class Cluster {
       hosts_.push_back(std::make_unique<Kernel>(config));
       links_.push_back(std::make_unique<NetLink>(&hosts_[0]->vm(), &hosts_[h]->vm(),
                                                  &net_clock_, kNormaLatency, net));
+      link_timers_.push_back(std::make_unique<LinkTimer>(links_.back().get()));
     }
 
     CreateFiles();
@@ -202,6 +204,7 @@ class Cluster {
   // remains (measured by the caller).
   void Shutdown() {
     tenants_.clear();
+    link_timers_.clear();
     links_.clear();
     shm_->Stop();
     shm_.reset();
@@ -476,6 +479,7 @@ class Cluster {
 
   std::vector<std::unique_ptr<Kernel>> hosts_;
   std::vector<std::unique_ptr<NetLink>> links_;  // links_[h] reaches host h.
+  std::vector<std::unique_ptr<LinkTimer>> link_timers_;  // Their heartbeats.
   std::unique_ptr<SimDisk> data_disk_;
   std::unique_ptr<SimDisk> log_disk_;
   std::unique_ptr<SimDisk> fs_disk_;
