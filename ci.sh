@@ -51,16 +51,22 @@ ipc_leak_lane() {
 # sub-second race of a pager call lowering a dying task's mappings, where
 # only ASan sees a pv walk reach a freed pmap, and the two teardown races of
 # calls made in the sender's thread: manager calls racing ~VmSystem, and
-# sends through NetLink proxies racing ~NetLink.
+# sends through NetLink proxies racing ~NetLink. It also runs the task-port
+# and manager-death suites: a port holds its task weakly, and the death
+# notify handler's record outlives ~VmSystem, lifetimes only a leak check
+# would catch going wrong.
 fault_ahead_leak_lane() {
   export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1}
   export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1}
   cmake -B build-asan -S . -DMACH_SANITIZE=address
-  cmake --build build-asan -j "$jobs" --target vm_test pager_test vm_concurrent_test net_test
+  cmake --build build-asan -j "$jobs" --target vm_test pager_test vm_concurrent_test net_test \
+    kernel_server_test vm_edge_test
   ./build-asan/tests/vm_test --gtest_filter='FaultAheadTest.*'
   ./build-asan/tests/pager_test --gtest_filter='FaultAheadPagerTest.*:PagerProtocolValidationTest.*:ExternalPagerTest.ForgedOversizeDataRequestIsRejectedAtTheWire'
   ./build-asan/tests/vm_concurrent_test --gtest_filter='VmConcurrentTest.PageProtectNeverReachesADeadTasksPmap:VmConcurrentTest.KernelTeardownRacesManagerProvides'
   ./build-asan/tests/net_test --gtest_filter='NetTest.SendersRacingLinkTeardownSeeSuccessOrPortDeath'
+  ./build-asan/tests/kernel_server_test
+  ./build-asan/tests/vm_edge_test --gtest_filter='VmManagerDeathTest.*:VmEdgeTest.ManagerDeath*'
 }
 
 mode=${1:-tier1}
@@ -83,16 +89,19 @@ case "$mode" in
     # lock-free pmap reads (hw_test), manager teardown order (camelot_test),
     # the file server (fs_test), the pager suite (pager_test), where manager
     # handlers settle page-in and unlock requests while their faulters wait,
-    # and the NetLink suites (net_test, migrate_test, kernel_server_test),
+    # the NetLink suites (net_test, migrate_test, kernel_server_test),
     # whose senders' threads run the link and the remote kernel's pager
-    # handlers. Kept to the concurrency-heavy binaries — TSan is ~10x, and
-    # the full suite runs in the other lanes.
+    # handlers, and kernel_test / vm_edge_test, whose senders run task and
+    # thread ports' handlers against checkpoint wakeups and record manager
+    # deaths for the pageout daemon. Kept to the concurrency-heavy binaries
+    # — TSan is ~10x, and the full suite runs in the other lanes.
     export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}
-    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test|pager_test|migrate_test|kernel_server_test)$'
+    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test|pager_test|migrate_test|kernel_server_test|kernel_test|vm_edge_test)$'
     cmake -B build-tsan -S . -DMACH_SANITIZE=thread
     cmake --build build-tsan -j "$jobs" --target \
       hw_test vm_test vm_concurrent_test property_test ipc_property_test shm_test \
-      shm_property_test camelot_test net_test fs_test pager_test migrate_test kernel_server_test
+      shm_property_test camelot_test net_test fs_test pager_test migrate_test kernel_server_test \
+      kernel_test vm_edge_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R "$tsan_suites"
     ;;
   perfbench)

@@ -13,8 +13,13 @@
 // Kernel-owned ports: a port may carry a kernel-object handler
 // (SetKernelObjectHandler), which Enqueue offers each message to in the
 // sender's thread — the way Mach's kernel serves messages sent to its own
-// ports instead of queueing them for a thread of its own. NetLink proxies
-// use the same hook to forward in the sender's thread.
+// ports instead of queueing them for a thread of its own. Every port a
+// kernel receives on is served this way: task and thread ports, pager
+// request ports and the VM's death-notify port, so no kernel thread
+// receives messages. A handler runs under whatever locks its sender
+// holds; one that a kernel's own sends can reach (the death-notify port's)
+// takes only leaf locks. NetLink proxies use the same hook to forward in
+// the sender's thread.
 //
 // Lock order: PortSet::mu_ > Port::mu_. A port reaches the kernel layer only
 // through a kernel-object handler, which runs with no port lock held, so

@@ -2,23 +2,21 @@
 // a "host" in multi-machine scenarios (§4.2: "independent Mach kernels").
 //
 // A Kernel owns the simulated hardware (physical memory, a paging disk, a
-// virtual clock), the VM system, the trusted default pager task, and two
-// service threads:
-//   * the pager service thread, which receives the death notifications of
-//     memory-object ports and whatever else queues on the pager request
-//     ports — a data manager's Table 3-6 calls are not queued but run in the
-//     manager's own thread (VmSystem::InstallPagerRequestHandler);
-//   * (inside VmSystem) the pageout daemon.
+// virtual clock), the VM system and the trusted default pager task. Its only
+// thread of its own is the pageout daemon inside VmSystem (§5.4). Every
+// message to a port the kernel owns runs in its sender's thread (port.h):
+// a task's or thread's operations (kernel_server.h), a data manager's
+// Table 3-6 calls (VmSystem::InstallPagerRequestHandler), and the death
+// notice of a memory-object port, which only records the death for the VM
+// system's next entry or the daemon's next pass.
 //
 // Tasks are created against a kernel and must not outlive it.
 
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "src/base/sim_clock.h"
 #include "src/hw/physical_memory.h"
@@ -61,14 +59,13 @@ class Kernel {
   SimDisk& paging_disk() { return *paging_disk_; }
   DefaultPager& default_pager() { return *default_pager_; }
 
-  // Creates a task. With a parent, the child's address space is populated
-  // according to the parent's per-region inheritance attributes (§3.3).
+  // Creates a task, its port served from here on. With a parent, the
+  // child's address space is populated according to the parent's
+  // per-region inheritance attributes (§3.3).
   std::shared_ptr<Task> CreateTask(const std::shared_ptr<Task>& parent = nullptr,
                                    const std::string& name = "task");
 
  private:
-  void PagerServiceLoop();
-
   Config config_;
   SimClock clock_;
   std::unique_ptr<PhysicalMemory> phys_;
@@ -77,9 +74,6 @@ class Kernel {
   // sender's thread until ~VmSystem may still park pages with it.
   std::unique_ptr<DefaultPager> default_pager_;
   std::unique_ptr<VmSystem> vm_;
-
-  std::thread pager_service_thread_;
-  std::atomic<bool> running_{false};
 };
 
 }  // namespace mach

@@ -4,69 +4,9 @@
 
 namespace mach {
 
-KernelServer::KernelServer(Kernel* kernel) : kernel_(kernel) {}
+namespace {
 
-KernelServer::~KernelServer() { Stop(); }
-
-void KernelServer::ServeTask(const std::shared_ptr<Task>& task) {
-  std::lock_guard<std::mutex> g(mu_);
-  tasks_.emplace(task->task_port().id(), task);
-  set_->Add(task->task_port_receive());
-}
-
-void KernelServer::ServeThread(const std::shared_ptr<Thread>& thread) {
-  std::lock_guard<std::mutex> g(mu_);
-  threads_.emplace(thread->thread_port().id(), thread);
-  set_->Add(thread->thread_port_receive());
-}
-
-void KernelServer::Start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) {
-    return;
-  }
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void KernelServer::Stop() {
-  bool expected = true;
-  if (!running_.compare_exchange_strong(expected, false)) {
-    return;
-  }
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
-void KernelServer::Loop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    Result<PortSet::ReceivedMessage> got = set_->ReceiveFrom(std::chrono::milliseconds(20));
-    if (!got.ok()) {
-      continue;
-    }
-    std::shared_ptr<Task> task;
-    std::shared_ptr<Thread> thread;
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      auto t = tasks_.find(got.value().port_id);
-      if (t != tasks_.end()) {
-        task = t->second;
-      } else {
-        auto th = threads_.find(got.value().port_id);
-        if (th != threads_.end()) {
-          thread = th->second;
-        }
-      }
-    }
-    if (task != nullptr) {
-      HandleTaskMessage(task, std::move(got.value().message));
-    } else if (thread != nullptr) {
-      HandleThreadMessage(thread, std::move(got.value().message));
-    }
-  }
-}
-
-void KernelServer::ReplyStatus(const Message& request, MsgId id, KernReturn status) {
+void ReplyStatus(const Message& request, MsgId id, KernReturn status) {
   if (!request.reply_port().valid()) {
     return;
   }
@@ -75,14 +15,14 @@ void KernelServer::ReplyStatus(const Message& request, MsgId id, KernReturn stat
   MsgSend(request.reply_port(), std::move(reply), std::chrono::milliseconds(2000));
 }
 
-void KernelServer::HandleTaskMessage(const std::shared_ptr<Task>& task, Message&& msg) {
+void HandleTaskMessage(Task& task, Message&& msg) {
   switch (msg.id()) {
     case kMsgTaskSuspend:
-      task->Suspend();
+      task.Suspend();
       ReplyStatus(msg, msg.id(), KernReturn::kSuccess);
       break;
     case kMsgTaskResume:
-      task->Resume();
+      task.Resume();
       ReplyStatus(msg, msg.id(), KernReturn::kSuccess);
       break;
     case kMsgTaskVmAllocate: {
@@ -91,7 +31,7 @@ void KernelServer::HandleTaskMessage(const std::shared_ptr<Task>& task, Message&
         ReplyStatus(msg, msg.id(), KernReturn::kInvalidArgument);
         break;
       }
-      Result<VmOffset> addr = task->VmAllocate(size.value());
+      Result<VmOffset> addr = task.VmAllocate(size.value());
       Message reply(msg.id());
       reply.PushU32(static_cast<uint32_t>(addr.status()));
       reply.PushU64(addr.ok() ? addr.value() : 0);
@@ -105,7 +45,7 @@ void KernelServer::HandleTaskMessage(const std::shared_ptr<Task>& task, Message&
         ReplyStatus(msg, msg.id(), KernReturn::kInvalidArgument);
         break;
       }
-      ReplyStatus(msg, msg.id(), task->VmDeallocate(addr.value(), size.value()));
+      ReplyStatus(msg, msg.id(), task.VmDeallocate(addr.value(), size.value()));
       break;
     }
     case kMsgTaskVmRead: {
@@ -116,7 +56,7 @@ void KernelServer::HandleTaskMessage(const std::shared_ptr<Task>& task, Message&
         break;
       }
       std::vector<std::byte> data(len.value());
-      KernReturn kr = task->VmRead(addr.value(), data.data(), data.size());
+      KernReturn kr = task.VmRead(addr.value(), data.data(), data.size());
       Message reply(msg.id());
       reply.PushU32(static_cast<uint32_t>(kr));
       if (IsOk(kr)) {
@@ -133,7 +73,7 @@ void KernelServer::HandleTaskMessage(const std::shared_ptr<Task>& task, Message&
         break;
       }
       ReplyStatus(msg, msg.id(),
-                  task->VmWrite(addr.value(), data.value().data(), data.value().size()));
+                  task.VmWrite(addr.value(), data.value().data(), data.value().size()));
       break;
     }
     case kMsgTaskVmProtect: {
@@ -146,12 +86,12 @@ void KernelServer::HandleTaskMessage(const std::shared_ptr<Task>& task, Message&
         break;
       }
       ReplyStatus(msg, msg.id(),
-                  task->VmProtect(addr.value(), size.value(), set_max.value() != 0,
-                                  prot.value()));
+                  task.VmProtect(addr.value(), size.value(), set_max.value() != 0,
+                                 prot.value()));
       break;
     }
     case kMsgTaskStatistics: {
-      VmStatistics st = task->VmStats();
+      VmStatistics st = task.VmStats();
       Message reply(msg.id());
       reply.PushU32(static_cast<uint32_t>(KernReturn::kSuccess));
       reply.PushU64(st.faults);
@@ -160,30 +100,56 @@ void KernelServer::HandleTaskMessage(const std::shared_ptr<Task>& task, Message&
       MsgSend(msg.reply_port(), std::move(reply), std::chrono::milliseconds(2000));
       break;
     }
-    default:
-      ReplyStatus(msg, msg.id(), KernReturn::kInvalidArgument);
+  }
+}
+
+void HandleThreadMessage(Thread& thread, Message&& msg) {
+  switch (msg.id()) {
+    case kMsgThreadSuspend:
+      thread.Suspend();
+      ReplyStatus(msg, msg.id(), KernReturn::kSuccess);
+      break;
+    case kMsgThreadResume:
+      thread.Resume();
+      ReplyStatus(msg, msg.id(), KernReturn::kSuccess);
+      break;
+    case kMsgThreadTerminate:
+      thread.Terminate();
+      ReplyStatus(msg, msg.id(), KernReturn::kSuccess);
       break;
   }
 }
 
-void KernelServer::HandleThreadMessage(const std::shared_ptr<Thread>& thread, Message&& msg) {
-  switch (msg.id()) {
-    case kMsgThreadSuspend:
-      thread->Suspend();
-      ReplyStatus(msg, msg.id(), KernReturn::kSuccess);
-      break;
-    case kMsgThreadResume:
-      thread->Resume();
-      ReplyStatus(msg, msg.id(), KernReturn::kSuccess);
-      break;
-    case kMsgThreadTerminate:
-      thread->Terminate();
-      ReplyStatus(msg, msg.id(), KernReturn::kSuccess);
-      break;
-    default:
-      ReplyStatus(msg, msg.id(), KernReturn::kInvalidArgument);
-      break;
-  }
+// Serves `port` in the sender's thread with `handle`, for the ids in [first,
+// last]. Any other id is answered kInvalidArgument before a reference to
+// the object is taken (kernel_server.h says why).
+template <typename T>
+void Serve(const SendRight& port, std::weak_ptr<T> object, MsgId first, MsgId last,
+           void (*handle)(T&, Message&&)) {
+  port.port()->SetKernelObjectHandler(
+      [=](Port&, Message& msg, Timeout) -> std::optional<KernReturn> {
+        if (msg.id() < first || msg.id() > last) {
+          ReplyStatus(msg, msg.id(), KernReturn::kInvalidArgument);
+          return KernReturn::kSuccess;
+        }
+        std::shared_ptr<T> held = object.lock();
+        if (held == nullptr) {
+          return KernReturn::kPortDead;
+        }
+        handle(*held, std::move(msg));
+        return KernReturn::kSuccess;
+      });
+}
+
+}  // namespace
+
+void ServeTaskPort(const std::shared_ptr<Task>& task) {
+  Serve<Task>(task->task_port(), task, kMsgTaskSuspend, kMsgTaskStatistics, HandleTaskMessage);
+}
+
+void ServeThreadPort(const std::shared_ptr<Thread>& thread) {
+  Serve<Thread>(thread->thread_port(), thread, kMsgThreadSuspend, kMsgThreadTerminate,
+                HandleThreadMessage);
 }
 
 // --- client wrappers ---------------------------------------------------------

@@ -3,24 +3,29 @@
 // Messages sent to such a port result in operations being performed on the
 // object it represents."
 //
-// KernelServer services the task and thread ports: it receives operation
-// messages on them and performs the corresponding kernel call, replying on
-// the message's reply port. This is what makes a task port a *capability*:
-// holding a send right to it — even from another host, through a NetLink
-// proxy — is the authority to suspend, resume, or operate on that task's
-// memory ("a thread can suspend another thread by sending a suspend message
-// ... even if the request is initiated on another node in a network").
+// Task and thread ports are kernel-owned ports (port.h): Kernel::CreateTask
+// and Task::SpawnThread install the handlers below, so an operation message
+// runs in its sender's thread and the handler replies on the message's reply
+// port. This is what makes a task port a *capability*: holding a send right
+// to it — even from another host, through a NetLink proxy — is the authority
+// to suspend, resume, or operate on that task's memory ("a thread can
+// suspend another thread by sending a suspend message ... even if the
+// request is initiated on another node in a network"). Concurrent calls on
+// one task run concurrently, each in its caller's thread.
+//
+// A port holds its task or thread weakly: a send after the object is gone
+// fails with kPortDead. The handler reads the message id before it takes a
+// reference, and answers an id outside the object's operations without
+// one, so a kernel thread sending its own Table 3-5 calls to a task port
+// named as a memory object never ends up running ~Task.
 //
 // Wire format: u32 status replies; vm_read/vm_write carry data inline.
 
 #ifndef SRC_KERNEL_KERNEL_SERVER_H_
 #define SRC_KERNEL_KERNEL_SERVER_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
+#include <vector>
 
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
@@ -43,35 +48,10 @@ inline constexpr MsgId kMsgThreadSuspend = 0x7A530101;
 inline constexpr MsgId kMsgThreadResume = 0x7A530102;
 inline constexpr MsgId kMsgThreadTerminate = 0x7A530103;
 
-class KernelServer {
- public:
-  explicit KernelServer(Kernel* kernel);
-  ~KernelServer();
-
-  KernelServer(const KernelServer&) = delete;
-  KernelServer& operator=(const KernelServer&) = delete;
-
-  // Registers a task (or thread) so operations on its port are serviced.
-  void ServeTask(const std::shared_ptr<Task>& task);
-  void ServeThread(const std::shared_ptr<Thread>& thread);
-
-  void Start();
-  void Stop();
-
- private:
-  void Loop();
-  void HandleTaskMessage(const std::shared_ptr<Task>& task, Message&& msg);
-  void HandleThreadMessage(const std::shared_ptr<Thread>& thread, Message&& msg);
-  static void ReplyStatus(const Message& request, MsgId id, KernReturn status);
-
-  Kernel* const kernel_;
-  std::shared_ptr<PortSet> set_ = PortSet::Create();
-  std::mutex mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<Task>> tasks_;      // by task port id
-  std::unordered_map<uint64_t, std::shared_ptr<Thread>> threads_;  // by thread port id
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-};
+// Makes `task`'s port (and `thread`'s) kernel-owned. Called once, before the
+// port's send right leaves the kernel.
+void ServeTaskPort(const std::shared_ptr<Task>& task);
+void ServeThreadPort(const std::shared_ptr<Thread>& thread);
 
 // --- client-side convenience wrappers (usable through NetLink proxies) --------
 

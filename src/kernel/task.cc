@@ -2,6 +2,7 @@
 
 #include "src/base/log.h"
 #include "src/kernel/kernel.h"
+#include "src/kernel/kernel_server.h"
 
 namespace mach {
 
@@ -75,6 +76,7 @@ KernReturn Task::Write(VmOffset addr, const void* buf, VmSize len) {
 std::shared_ptr<Thread> Task::SpawnThread(std::function<void(Thread&)> body,
                                           const std::string& name) {
   auto thread = std::shared_ptr<Thread>(new Thread(this, name));
+  ServeThreadPort(thread);
   {
     std::lock_guard<std::mutex> g(threads_mu_);
     threads_.push_back(thread);
@@ -112,8 +114,10 @@ void Task::Suspend() {
 
 void Task::Resume() {
   if (suspend_count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> g(suspend_mu_);
-    suspend_cv_.notify_all();
+    std::lock_guard<std::mutex> g(threads_mu_);
+    for (auto& t : threads_) {
+      t->Wake();
+    }
   }
 }
 
@@ -138,14 +142,13 @@ bool Thread::Checkpoint() {
   if (terminated_.load(std::memory_order_acquire)) {
     return false;
   }
-  // Pause while this thread or the whole task is suspended.
-  // Poll-style wait: the suspender may be the task (whose Resume does not
-  // know this thread's condition variable), so wake periodically to
-  // re-evaluate.
+  // Pause while this thread or the whole task is suspended. Every change
+  // that can end the pause (Resume of either, Terminate) is followed by a
+  // Wake under mu_, so the wait needs no timeout.
   std::unique_lock<std::mutex> lock(mu_);
   while (!terminated_.load(std::memory_order_acquire) &&
          (suspend_count_.load(std::memory_order_acquire) > 0 || task_->suspended())) {
-    cv_.wait_for(lock, std::chrono::milliseconds(5));
+    cv_.wait(lock);
   }
   return !terminated_.load(std::memory_order_acquire);
 }
@@ -154,12 +157,15 @@ void Thread::Suspend() { suspend_count_.fetch_add(1, std::memory_order_acq_rel);
 
 void Thread::Resume() {
   suspend_count_.fetch_sub(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> g(mu_);
-  cv_.notify_all();
+  Wake();
 }
 
 void Thread::Terminate() {
   terminated_.store(true, std::memory_order_release);
+  Wake();
+}
+
+void Thread::Wake() {
   std::lock_guard<std::mutex> g(mu_);
   cv_.notify_all();
 }

@@ -8,6 +8,10 @@
 //
 // The Table 3-2 port operations that take a task argument are provided as
 // methods operating on the task's default port group (a PortSet).
+//
+// Task and thread ports are served by the kernel from creation: a message
+// sent to one performs its operation in the sender's thread
+// (kernel_server.h), and the port does not keep its task or thread alive.
 
 #ifndef SRC_KERNEL_TASK_H_
 #define SRC_KERNEL_TASK_H_
@@ -43,12 +47,8 @@ class Task : public std::enable_shared_from_this<Task> {
   VmSize page_size() const;
 
   // A port representing this task (task_self). Messages sent to it perform
-  // operations on the task when a KernelServer services it (§3.2).
+  // operations on the task (§3.2).
   const SendRight& task_port() const { return task_port_; }
-
-  // Kernel-internal: the receive side of the task port (the kernel holds
-  // it; KernelServer enables it in its service set).
-  const ReceiveRight& task_port_receive() const { return task_port_receive_; }
 
   // --- Table 3-3 / 3-4 virtual memory operations -------------------------
 
@@ -108,7 +108,7 @@ class Task : public std::enable_shared_from_this<Task> {
   // --- suspension ----------------------------------------------------------
 
   void Suspend();  // Increments suspend count; threads pause at checkpoints.
-  void Resume();
+  void Resume();   // The last resume wakes every paused thread.
   bool suspended() const { return suspend_count_.load(std::memory_order_acquire) > 0; }
 
  private:
@@ -128,8 +128,6 @@ class Task : public std::enable_shared_from_this<Task> {
   std::vector<std::shared_ptr<Thread>> threads_;
 
   std::atomic<int> suspend_count_{0};
-  std::mutex suspend_mu_;
-  std::condition_variable suspend_cv_;
 };
 
 // A thread of control within a task. The body runs on a std::thread and
@@ -144,8 +142,6 @@ class Thread : public std::enable_shared_from_this<Thread> {
 
   Task& task() const { return *task_; }
   const SendRight& thread_port() const { return thread_port_; }
-  // Kernel-internal: the receive side of the thread port.
-  const ReceiveRight& thread_port_receive() const { return thread_port_receive_; }
 
   // Returns false if the thread has been terminated (body should return).
   // Blocks while the thread or its task is suspended.
@@ -161,6 +157,8 @@ class Thread : public std::enable_shared_from_this<Thread> {
   friend class Task;
   Thread(Task* task, std::string name);
   void Run(std::function<void(Thread&)> body);
+  // Wakes Checkpoint to look at the suspend counts and termination again.
+  void Wake();
 
   Task* const task_;
   const std::string name_;

@@ -31,7 +31,7 @@
 namespace mach {
 
 void VmSystem::StartPageoutDaemon() {
-  std::lock_guard<std::mutex> lk(pageout_mu_);
+  std::lock_guard<std::mutex> lk(deferred_->mu);
   if (pageout_running_) {
     return;
   }
@@ -42,22 +42,26 @@ void VmSystem::StartPageoutDaemon() {
 
 void VmSystem::StopPageoutDaemon() {
   {
-    std::lock_guard<std::mutex> lk(pageout_mu_);
+    std::lock_guard<std::mutex> lk(deferred_->mu);
     if (!pageout_running_) {
       return;
     }
     shutting_down_ = true;
-    pageout_wake_.notify_all();
+    deferred_->wake.notify_all();
   }
   pageout_thread_.join();
-  std::lock_guard<std::mutex> lk(pageout_mu_);
+  std::lock_guard<std::mutex> lk(deferred_->mu);
   pageout_running_ = false;
 }
 
 void VmSystem::PageoutDaemonMain() {
-  std::unique_lock<std::mutex> lk(pageout_mu_);
+  std::unique_lock<std::mutex> lk(deferred_->mu);
   while (!shutting_down_) {
-    pageout_wake_.wait_for(lk, kPageoutInterval);
+    // A recorded manager death, whose faulters may be parked, does not
+    // wait for the interval.
+    if (deferred_->dead_pagers.empty()) {
+      deferred_->wake.wait_for(lk, kPageoutInterval);
+    }
     if (shutting_down_) {
       break;
     }
@@ -175,7 +179,6 @@ bool VmSystem::EnsureInternalPager(ChainLock& chain, ObjectLock& olk,
   object->pager_initialized = true;
   objects_by_pager_.emplace(object->pager.id(), object);
   objects_by_request_.emplace(object->request_send.id(), object);
-  pager_requests_->Add(object->request_receive);
   // Even the trusted default pager gets a death watch: if it goes away the
   // same §6.2.1 policy applies instead of a hung fault.
   object->pager.port()->RequestDeathNotification(death_notify_send_);
@@ -195,7 +198,6 @@ void VmSystem::DropPagerLocked(ChainLock& chain, ObjectLock& olk, VmObject* obje
   }
   if (object->request_receive.valid()) {
     objects_by_request_.erase(object->request_receive.id());
-    pager_requests_->Remove(object->request_receive);
   }
   object->pager = SendRight();
   object->request_send = SendRight();
@@ -399,7 +401,8 @@ void VmSystem::InstallPagerRequestHandler(const ReceiveRight& request) {
         // Only the Table 3-6 ids, which the kernel never sends itself: a
         // kernel thread holding VM locks can then never enter a handler,
         // even when an errant manager names a request port as a memory
-        // object.
+        // object. A death notice forged here stays queued too: only the
+        // notify port's handler records deaths.
         if (!IsPagerManagerCall(msg.id())) {
           return std::nullopt;
         }
@@ -413,37 +416,6 @@ void VmSystem::InstallPagerRequestHandler(const ReceiveRight& request) {
 }
 
 void VmSystem::HandlePagerMessage(uint64_t request_port_id, Message&& msg) {
-  if (msg.id() == kMsgIdPortDeath) {
-    // Death notification for a watched memory-object port. Only the
-    // kernel's dedicated notify port is trusted: a kMsgIdPortDeath landing
-    // on an ordinary request port was sent by a manager, and honoring it
-    // would let an errant manager (the §6 threat model) forge the death of
-    // another object's pager.
-    if (request_port_id != death_notify_receive_.id()) {
-      MACH_LOG(kWarn) << "forged death notification on request port " << request_port_id;
-      return;
-    }
-    // The payload is the dead port's id.
-    Result<uint64_t> dead_id = msg.TakeU64();
-    if (dead_id.ok()) {
-      ChainLock chain(chain_mu_);
-      auto dead_it = objects_by_pager_.find(dead_id.value());
-      if (dead_it != objects_by_pager_.end()) {
-        HandlePagerDeath(chain, dead_it->second);
-      }
-    }
-    return;
-  }
-  if (msg.id() == kMsgIdNoSenders) {
-    // The kernel never registers for no-senders on the ports it watches (it
-    // holds its own send rights to them, which would keep the count up), so
-    // any no-senders message on a request port is a manager forging the
-    // notification protocol — same §6 threat as a forged death above.
-    if (request_port_id != death_notify_receive_.id()) {
-      MACH_LOG(kWarn) << "forged no-senders notification on request port " << request_port_id;
-    }
-    return;
-  }
   std::shared_ptr<VmObject> object;
   {
     ChainLock chain(chain_mu_);

@@ -83,13 +83,23 @@ VmSystem::VmSystem(PhysicalMemory* phys, Config config, FaultInjector* injector)
   config_.pageout_cluster_max = std::max<uint32_t>(config_.pageout_cluster_max, 1);
   config_.fault_ahead_max =
       std::clamp<uint32_t>(config_.fault_ahead_max, 1, kPagerMaxRunPages);
-  // Death notifications are delivered with non-blocking sends; a roomy
-  // backlog keeps a burst of port deaths from dropping any.
+  // Death notifications arrive from whichever thread kills a memory-object
+  // port, perhaps under this kernel's locks: the handler only records the
+  // dead port and wakes the daemon (tier 7 in vm_system.h).
   PortPair death = PortAllocate("pager-death-notify");
-  death.receive.port()->SetBacklog(4096);
+  death.receive.port()->SetKernelObjectHandler(
+      [deferred = deferred_](Port&, Message& msg, Timeout) -> std::optional<KernReturn> {
+        Result<uint64_t> dead_id = msg.TakeU64();
+        if (msg.id() == kMsgIdPortDeath && dead_id.ok()) {
+          std::lock_guard<std::mutex> g(deferred->mu);
+          deferred->dead_pagers.push_back(dead_id.value());
+          deferred->pending.store(true, std::memory_order_release);
+        }
+        deferred->wake.notify_all();
+        return KernReturn::kSuccess;
+      });
   death_notify_receive_ = std::move(death.receive);
   death_notify_send_ = std::move(death.send);
-  pager_requests_->Add(death_notify_receive_);
 }
 
 VmSystem::~VmSystem() {
@@ -99,6 +109,13 @@ VmSystem::~VmSystem() {
     kernel_calls_->vm = nullptr;
   }
   StopPageoutDaemon();
+  // Map-copy releases still pending die with the kernel, as its objects do;
+  // they leave the record first, which the notify handler may keep alive.
+  std::vector<std::shared_ptr<VmObject>> releases;
+  {
+    std::lock_guard<std::mutex> g(deferred_->mu);
+    releases.swap(deferred_->releases);
+  }
   // Free any pages still resident (objects referenced by leaked handles).
   // Execution is single-threaded by now, but PageFreeLocked still wants the
   // owner's lock as its witness.
@@ -212,7 +229,7 @@ Result<VmPage*> VmSystem::PageAllocLocked(VmObject* object, VmOffset offset, boo
   if (page == nullptr) {
     // Below the reserved floor (§6.2.3). The caller must drop every lock
     // and WaitForFreeFrames; poke the daemon on its behalf.
-    pageout_wake_.notify_all();
+    deferred_->wake.notify_all();
     return KernReturn::kResourceShortage;
   }
   object->pages.PushBack(page);
@@ -429,7 +446,7 @@ void VmSystem::PageRename(VmPage* page, VmObject* new_object, VmOffset new_offse
 }
 
 void VmSystem::WaitForFreeFrames() {
-  pageout_wake_.notify_all();
+  deferred_->wake.notify_all();
   if (ReclaimPass(free_target_) > 0) {
     return;
   }
@@ -836,23 +853,28 @@ size_t VmSystem::ShadowChainLength(TaskVm& task, VmOffset addr) {
 
 void VmSystem::MaybeDrainDeferred() {
   // Nothing-pending is the common case on the fault path; answer it from
-  // the flag without touching deferred_mu_.
-  if (!deferred_pending_.load(std::memory_order_acquire)) {
+  // the flag without touching the record's mutex.
+  if (!deferred_->pending.load(std::memory_order_acquire)) {
     return;
   }
-  std::vector<std::shared_ptr<VmObject>> pending;
+  std::vector<std::shared_ptr<VmObject>> releases;
+  std::vector<uint64_t> dead_pagers;
   {
-    std::lock_guard<std::mutex> g(deferred_mu_);
-    deferred_pending_.store(false, std::memory_order_relaxed);
-    if (deferred_releases_.empty()) {
-      return;
+    std::lock_guard<std::mutex> g(deferred_->mu);
+    deferred_->pending.store(false, std::memory_order_relaxed);
+    releases.swap(deferred_->releases);
+    dead_pagers.swap(deferred_->dead_pagers);
+  }
+  ChainLock chain(chain_mu_);
+  for (uint64_t id : dead_pagers) {
+    auto it = objects_by_pager_.find(id);
+    if (it != objects_by_pager_.end()) {
+      HandlePagerDeath(chain, it->second);
     }
-    pending.swap(deferred_releases_);
   }
   // ObjectRelease spots collapse opportunities, so map-copy consumption
   // (out-of-line message teardown) compacts chains just like map removal.
-  ChainLock chain(chain_mu_);
-  for (auto& object : pending) {
+  for (auto& object : releases) {
     ObjectRelease(chain, std::move(object));
   }
 }
@@ -935,7 +957,6 @@ Result<VmOffset> VmSystem::AllocateWithPager(TaskVm& task, VmOffset addr, VmSize
       object->pager_initialized = true;
       objects_by_pager_.emplace(memory_object.id(), object);
       objects_by_request_.emplace(object->request_send.id(), object);
-      pager_requests_->Add(object->request_receive);
       // Watch the manager's memory-object port so its death resolves
       // waiting faulters immediately (§6.2.1). Fires at once if the port
       // is already dead.
@@ -1293,15 +1314,16 @@ VmMapCopy::~VmMapCopy() {
   }
   // Defer the reference drops: this destructor can run inside port teardown
   // paths that must not take VM locks.
-  std::lock_guard<std::mutex> g(system_->deferred_mu_);
+  VmSystem::DeferredWork& deferred = *system_->deferred_;
+  std::lock_guard<std::mutex> g(deferred.mu);
   for (Segment& seg : segments_) {
     if (seg.object != nullptr) {
-      system_->deferred_releases_.push_back(std::move(seg.object));
+      deferred.releases.push_back(std::move(seg.object));
     }
   }
   segments_.clear();
-  if (!system_->deferred_releases_.empty()) {
-    system_->deferred_pending_.store(true, std::memory_order_release);
+  if (!deferred.releases.empty()) {
+    deferred.pending.store(true, std::memory_order_release);
   }
 }
 

@@ -16,8 +16,12 @@
 //   * the kernel ends of the external memory management interface:
 //     requests are *sent* to memory object ports, and the manager calls of
 //     Table 3-6 sent to a pager request port run the Handle* methods in the
-//     sender's thread (the port's kernel-object handler); notifications and
-//     any other message queue for the kernel's pager service thread.
+//     sender's thread (the port's kernel-object handler); any other message
+//     stays queued on the request port, where nothing receives it. The death
+//     notice of a memory-object port is recorded in the sender's thread and
+//     handled at the next MaybeDrainDeferred: every fault and map change
+//     starts with one, and the pageout daemon, which the notice wakes, runs
+//     one each pass.
 //
 // Concurrency: VM state is guarded by a lock hierarchy so concurrent faults
 // on a multiprocessor contend only where they genuinely share state. From
@@ -57,8 +61,12 @@
 //      lock: Access validates its page-table entry under the frame lock.
 //   7. Port locks (independent). A port reaches the kernel only through a
 //      kernel-object handler, which the port runs with none of its locks
-//      held, and the handler runs only the Table 3-6 ids, which the kernel
-//      itself never sends: no VM lock is ever held on handler entry.
+//      held. A request port's handler runs only the Table 3-6 ids, which the
+//      kernel itself never sends: no VM lock is held on its entry. The death
+//      notify port's handler does run under the sender's VM locks (a port
+//      destroyed under chain_mu_, a kPoll send into a dying NetLink proxy,
+//      a flush's write-back inside a request port's handler), so it takes
+//      only DeferredWork::mu, a leaf, and never KernelCallGuard.
 //      NetLink's locks are leaves like these: a kPoll send under an object
 //      lock may forward through a proxy in the sending thread.
 //
@@ -186,11 +194,6 @@ class VmSystem {
   // objects can be paged out.
   void SetDefaultPager(SendRight service_port, TrustedParkingStore* parking);
 
-  // The port set the kernel's pager service thread receives on: the death
-  // notify port and every pager request port, whose handler declines
-  // anything but a Table 3-6 call to this queue.
-  const std::shared_ptr<PortSet>& pager_request_set() const { return pager_requests_; }
-
   // Creates a fresh task VM context (map + pmap).
   TaskVm CreateTaskVm();
 
@@ -262,8 +265,7 @@ class VmSystem {
   Result<std::shared_ptr<VmMapCopy>> CopyFromBytes(const void* data, VmSize size);
 
   // --- manager -> kernel calls (Table 3-6) --------------------------------
-  // Run in the sending thread by a request port's kernel-object handler, and
-  // by the pager service thread for notifications and declined messages;
+  // Run in the sending thread by a request port's kernel-object handler;
   // `request_port_id` identifies the object. Also callable directly in
   // tests. Calls on different threads run concurrently under the object
   // locks.
@@ -700,16 +702,16 @@ class VmSystem {
   RunWriteResult WritePageoutRun(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
                                  const std::vector<VmPage*>& run, bool park_on_failure);
 
-  // Drains deferred VmMapCopy releases if any are pending. Callers must
-  // hold no VM locks.
+  // Handles the recorded manager deaths and drains deferred VmMapCopy
+  // releases, if any are pending. Callers must hold no VM locks.
   void MaybeDrainDeferred();
 
   // --- manager -> kernel handlers ----------------------------------------
 
   // Makes `request` a kernel-owned port: the six Table 3-6 calls sent to it
-  // run HandlePagerMessage in the sender's thread; everything else queues
-  // for the pager service thread. Called before the port's send right
-  // leaves the kernel.
+  // run HandlePagerMessage in the sender's thread; everything else stays
+  // queued on the port. Called before the port's send right leaves the
+  // kernel.
   void InstallPagerRequestHandler(const ReceiveRight& request);
 
   void HandleDataProvided(const std::shared_ptr<VmObject>& object, VmOffset offset,
@@ -732,10 +734,10 @@ class VmSystem {
   void HandleCache(const std::shared_ptr<VmObject>& object, bool may_cache);
 
   // Death-notification fast path (§6.2.1): the memory-object port of a
-  // manager died. Settles every request in flight, its unanswered
-  // placeholders under the configured on_pager_timeout policy (zero fill or
-  // error), and wakes the faulting threads immediately instead of letting
-  // them burn the timeout.
+  // manager died, and MaybeDrainDeferred found its id recorded. Settles
+  // every request in flight, its unanswered placeholders under the
+  // configured on_pager_timeout policy (zero fill or error), and wakes the
+  // faulting threads immediately instead of letting them burn the timeout.
   // Takes the object by value: the caller's reference typically aliases the
   // objects_by_pager_ entry this function erases. Caller holds chain_mu_.
   void HandlePagerDeath(ChainLock& chain, std::shared_ptr<VmObject> object);
@@ -780,9 +782,23 @@ class VmSystem {
   alignas(64) std::mutex free_mu_;
   std::condition_variable free_cv_;
 
-  // Pageout daemon control.
-  std::mutex pageout_mu_;
-  std::condition_variable pageout_wake_;
+  // Work left for the kernel's next entry by threads that must not take VM
+  // locks: object references dropped by VmMapCopy destructors, and the
+  // memory-object port ids the death notify port's handler recorded. That
+  // handler may run after ~VmSystem, so it holds this record, never the
+  // VmSystem; `mu` is a leaf. The pending flag lets MaybeDrainDeferred skip
+  // the mutex on the (hot, empty) path. The pageout daemon waits on `wake`
+  // under `mu`, which also guards its control flags below.
+  struct DeferredWork {
+    std::atomic<bool> pending{false};
+    std::mutex mu;
+    std::condition_variable wake;
+    std::vector<std::shared_ptr<VmObject>> releases;
+    std::vector<uint64_t> dead_pagers;
+  };
+  const std::shared_ptr<DeferredWork> deferred_ = std::make_shared<DeferredWork>();
+
+  // Pageout daemon control, guarded by deferred_->mu.
   std::thread pageout_thread_;
   bool pageout_running_ = false;
   bool shutting_down_ = false;
@@ -792,11 +808,9 @@ class VmSystem {
   std::unordered_map<uint64_t, std::shared_ptr<VmObject>> objects_by_pager_;
   std::unordered_map<uint64_t, std::shared_ptr<VmObject>> objects_by_request_;
 
-  std::shared_ptr<PortSet> pager_requests_ = PortSet::Create();
-
   // Every memory-object port is watched for death at association time
   // (vm_allocate_with_pager / pager_create); the notification lands here,
-  // inside pager_requests_, where the pager service thread receives it.
+  // and the port's handler records it in deferred_.
   ReceiveRight death_notify_receive_;
   SendRight death_notify_send_;
 
@@ -815,13 +829,6 @@ class VmSystem {
   TrustedParkingStore* parking_ = nullptr;
 
   mutable Counters counters_;
-
-  // Object references dropped by VmMapCopy destructors (possibly on threads
-  // that must not take VM locks); drained opportunistically. The atomic
-  // flag lets MaybeDrainDeferred skip the mutex on the (hot, empty) path.
-  std::atomic<bool> deferred_pending_{false};
-  std::mutex deferred_mu_;
-  std::vector<std::shared_ptr<VmObject>> deferred_releases_;
 };
 
 // An out-of-line memory region captured from an address map (Mach's

@@ -19,7 +19,7 @@ namespace {
 
 constexpr VmSize kPage = 4096;
 
-class KernelServerTest : public ::testing::Test {
+struct KernelServerTest : public ::testing::Test {
  protected:
   KernelServerTest() {
     Kernel::Config config;
@@ -27,18 +27,11 @@ class KernelServerTest : public ::testing::Test {
     config.page_size = kPage;
     config.disk_latency = DiskLatencyModel{0, 0};
     kernel_ = std::make_unique<Kernel>(config);
-    server_ = std::make_unique<KernelServer>(kernel_.get());
-    server_->Start();
     task_ = kernel_->CreateTask(nullptr, "served");
-    server_->ServeTask(task_);
   }
-  ~KernelServerTest() override {
-    task_.reset();
-    server_->Stop();
-  }
+  ~KernelServerTest() override { task_.reset(); }
 
   std::unique_ptr<Kernel> kernel_;
-  std::unique_ptr<KernelServer> server_;
   std::shared_ptr<Task> task_;
 };
 
@@ -82,7 +75,6 @@ TEST_F(KernelServerTest, SuspendResumeViaMessage) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  server_->ServeThread(worker);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ASSERT_EQ(RpcTaskSuspend(task_->task_port()), KernReturn::kSuccess);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -104,7 +96,6 @@ TEST_F(KernelServerTest, ThreadSuspendViaItsOwnPort) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  server_->ServeThread(worker);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ASSERT_EQ(RpcThreadSuspend(worker->thread_port()), KernReturn::kSuccess);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -114,6 +105,17 @@ TEST_F(KernelServerTest, ThreadSuspendViaItsOwnPort) {
   ASSERT_EQ(RpcThreadResume(worker->thread_port()), KernReturn::kSuccess);
   ASSERT_EQ(RpcThreadTerminate(worker->thread_port()), KernReturn::kSuccess);
   worker->Join();
+}
+
+TEST_F(KernelServerTest, TaskPortDoesNotKeepItsTaskAlive) {
+  // The kernel serves a task's port without owning the task: once its last
+  // holder lets go the task is destroyed, and its port is dead.
+  ASSERT_EQ(RpcTaskSuspend(task_->task_port()), KernReturn::kSuccess);
+  SendRight port = task_->task_port();
+  std::weak_ptr<Task> weak = task_;
+  task_.reset();
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(RpcTaskSuspend(port), KernReturn::kPortDead);
 }
 
 TEST_F(KernelServerTest, UnknownOperationRejected) {

@@ -1007,8 +1007,8 @@ TEST_F(ErrantManagerTest, RequestPortNamedAsMemoryObjectQueuesTheKernelsOwnCalls
   // own Table 3-5 calls land on its own request port. The port's handler
   // must decline them to the queue — running them would re-enter the kernel
   // under its own locks (termination writes back under chain_mu_) — and the
-  // fault resolves per OnPagerTimeout. A bare VmSystem has no pager service
-  // thread, so whatever was declined is still queued at the end.
+  // fault resolves per OnPagerTimeout. Nothing receives on a request port,
+  // so whatever was declined is still queued there at the end.
   for (auto policy : {VmSystem::Config::OnPagerTimeout::kError,
                       VmSystem::Config::OnPagerTimeout::kZeroFill}) {
     const bool zero_fill = policy == VmSystem::Config::OnPagerTimeout::kZeroFill;
@@ -1045,7 +1045,7 @@ TEST_F(ErrantManagerTest, RequestPortNamedAsMemoryObjectQueuesTheKernelsOwnCalls
 
     std::vector<MsgId> queued;
     for (;;) {
-      Result<Message> msg = vm.pager_request_set()->Receive(kPoll);
+      Result<Message> msg = MsgReceive(vm.ObjectForPager(object)->request_receive, kPoll);
       if (!msg.ok()) {
         break;
       }

@@ -352,13 +352,38 @@ TEST_F(VmEdgeTest, ForgedDeathNotificationOnRequestPortIsIgnored) {
   Message forged(kMsgIdPortDeath);
   forged.PushU64(victim_object.id());
   ASSERT_EQ(MsgSend(request, std::move(forged)), KernReturn::kSuccess);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // Let the kernel dispatch.
 
   // The victim is still bound to its (live) manager; no death was recorded.
   EXPECT_NE(kernel_->vm().ObjectForPager(victim_object), nullptr);
   EXPECT_EQ(kernel_->vm().Statistics().manager_deaths, 0u);
   attacker.Stop();
   victim.Stop();
+  // The request port's handler declined the forgery: it is still queued.
+  EXPECT_EQ(kernel_->vm().ObjectForPager(attacker_object)->request_receive.port()->Status().num_msgs,
+            1u);
+}
+
+TEST(VmManagerDeathTest, BareVmSystemHandlesTheDeathAtItsNextEntry) {
+  // No kernel thread at all: the death notice is recorded when the port
+  // dies, and the next fault handles it before it looks at the object.
+  PhysicalMemory phys(64, kPage);
+  VmSystem::Config config;
+  config.on_pager_timeout = VmSystem::Config::OnPagerTimeout::kZeroFill;
+  VmSystem vm(&phys, config);
+  TaskVm task = vm.CreateTaskVm();
+  SilentPager pager;
+  pager.Start();
+  SendRight object = pager.NewObject();
+  VmOffset addr = vm.AllocateWithPager(task, 0, kPage, true, object, 0).value();
+  pager.DestroyMemoryObject(object);
+  uint64_t out = 0xFFFF;
+  ASSERT_EQ(vm.UserAccess(task, addr, &out, sizeof(out), /*is_write=*/false),
+            KernReturn::kSuccess);
+  EXPECT_EQ(out, 0u);
+  EXPECT_EQ(vm.Statistics().manager_deaths, 1u);
+  EXPECT_EQ(vm.ObjectForPager(object), nullptr);
+  ASSERT_EQ(vm.Deallocate(task, addr, kPage), KernReturn::kSuccess);
+  pager.Stop();
 }
 
 TEST(VmManagerDeathTest, ZeroFillPolicyRehomesObjectOnDeath) {
