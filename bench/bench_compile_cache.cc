@@ -13,28 +13,13 @@
 
 using namespace mach_bench;
 
-namespace {
-// The compiler's own CPU time, modelled per page processed. §9's 2x is an
-// end-to-end compile-time ratio: on the SunOS side of the comparison, I/O
-// and compute were comparable halves of a cached small build — the cache
-// removes (most of) the I/O half. 5 ms/page is a mid-80s workstation
-// compiler pass over 4 KB of source.
-constexpr double kCpuMsPerPage = 5.0;
-
-double CpuMs(const CompileConfig& c) {
-  double pages_per_module =
-      c.source_pages + c.headers * c.header_pages + c.source_pages /* object out */;
-  return c.modules * pages_per_module * kCpuMsPerPage;
-}
-}  // namespace
-
 int main() {
   std::printf("E1: cached small compilation — Mach mapped files vs traditional "
               "buffered I/O (10%% buffer cache)\n");
   CompileConfig config;  // Small program: fits the kernel cache, not the 10% cache.
-  const double cpu_ms = CpuMs(config);
+  const double cpu_ms = CompileCpuMs(config);
   std::printf("(compiler CPU model: %.1f ms/page -> %.0f ms of compute per build)\n\n",
-              kCpuMsPerPage, cpu_ms);
+              kCompileCpuMsPerPage, cpu_ms);
   std::printf("%-30s %12s %12s %14s\n", "build", "disk ops", "I/O ms", "total ms");
 
   double mach_warm_total = 0, trad_warm_total = 0;

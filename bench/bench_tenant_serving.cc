@@ -14,14 +14,17 @@
 // Plus a single-host clustering ablation (BenchEnv, no faults): the same
 // dirty sweep at pageout_cluster_max 16 and 1, showing the
 // pager_data_write message-count reduction directly. Its counts follow the
-// pageout daemon's timing and move from run to run; at cap 1 every page is
-// its own message.
+// pageout daemon's timing and move from run to run, so each cap runs
+// kSweeps times and reports the minimum, median and maximum; at cap 1 every
+// page is its own message.
 //
 // All time is virtual (SimClock) and the injector is seeded, so the
 // numbers are deterministic and diffable.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_env.h"
 #include "src/kernel/kernel.h"
@@ -40,6 +43,24 @@ struct AblationArm {
   uint64_t runs = 0;
   double pages_per_run = 0.0;
 };
+
+constexpr int kSweeps = 5;
+
+// Minimum, median and maximum of one count over the sweeps.
+struct Spread {
+  double min = 0, median = 0, max = 0;
+};
+Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return Spread{v.front(), v[v.size() / 2], v.back()};
+}
+std::string SpreadJson(const Spread& s, const char* format) {
+  char buf[160];
+  std::string f = std::string("{\"min\": ") + format + ", \"median\": " + format +
+                  ", \"max\": " + format + "}";
+  std::snprintf(buf, sizeof(buf), f.c_str(), s.min, s.median, s.max);
+  return buf;
+}
 
 // One deterministic dirty sweep: a 128-page recoverable segment written
 // end to end through a 64-frame pool, so roughly half the segment is
@@ -97,23 +118,37 @@ int main() {
 
   // Part 1: the clustering ablation in isolation (no faults).
   const uint32_t caps[2] = {16, 1};
-  AblationArm arms[2] = {DirtySweep(caps[0]), DirtySweep(caps[1])};
-  std::fprintf(stderr, "clustering ablation (128-page dirty sweep, 64 frames):\n");
-  std::fprintf(stderr, "  %-6s %9s %14s %14s\n", "cap", "pageouts", "data_writes", "pages/run");
+  Spread pageouts[2], writes[2], per_run[2];
   for (int i = 0; i < 2; ++i) {
-    std::fprintf(stderr, "  %-6u %9llu %14llu %14.2f\n", caps[i],
-                 (unsigned long long)arms[i].pageouts, (unsigned long long)arms[i].runs,
-                 arms[i].pages_per_run);
+    std::vector<double> p, w, r;
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
+      const AblationArm arm = DirtySweep(caps[i]);
+      p.push_back(double(arm.pageouts));
+      w.push_back(double(arm.runs));
+      r.push_back(arm.pages_per_run);
+    }
+    pageouts[i] = SpreadOf(p);
+    writes[i] = SpreadOf(w);
+    per_run[i] = SpreadOf(r);
+  }
+  std::fprintf(stderr, "clustering ablation (128-page dirty sweep, 64 frames; median [min, max] "
+                       "of %d sweeps):\n", kSweeps);
+  std::fprintf(stderr, "  %-6s %18s %18s %22s\n", "cap", "pageouts", "data_writes", "pages/run");
+  for (int i = 0; i < 2; ++i) {
+    std::fprintf(stderr, "  %-6u %6.0f [%3.0f, %3.0f] %6.0f [%3.0f, %3.0f] %6.2f [%5.2f, %5.2f]\n",
+                 caps[i], pageouts[i].median, pageouts[i].min, pageouts[i].max, writes[i].median,
+                 writes[i].min, writes[i].max, per_run[i].median, per_run[i].min, per_run[i].max);
   }
 
   // Part 2: the two workload arms.
   std::printf("{\n  \"benchmark\": \"tenant_serving\",\n");
   std::printf("  \"clustering_ablation\": {\n");
   for (int i = 0; i < 2; ++i) {
-    std::printf("    \"cap_%u\": {\"pageout_cluster_max\": %u, \"pageouts\": %llu, "
-                "\"data_writes\": %llu, \"pages_per_run\": %.2f}%s\n",
-                caps[i], caps[i], (unsigned long long)arms[i].pageouts,
-                (unsigned long long)arms[i].runs, arms[i].pages_per_run, i == 0 ? "," : "");
+    std::printf("    \"cap_%u\": {\"pageout_cluster_max\": %u, \"sweeps\": %d, \"pageouts\": %s, "
+                "\"data_writes\": %s, \"pages_per_run\": %s}%s\n",
+                caps[i], caps[i], kSweeps, SpreadJson(pageouts[i], "%.0f").c_str(),
+                SpreadJson(writes[i], "%.0f").c_str(), SpreadJson(per_run[i], "%.2f").c_str(),
+                i == 0 ? "," : "");
   }
   std::printf("  },\n  \"configs\": [\n");
 

@@ -41,6 +41,20 @@ struct CompileConfig {
   DiskLatencyModel disk;       // Default: 20ms/op winchester.
 };
 
+// The compiler's own CPU time, modelled per page processed. §9's 2x is an
+// end-to-end compile-time ratio: on the SunOS side of the comparison, I/O
+// and compute were comparable halves of a cached small build — the cache
+// removes (most of) the I/O half. 5 ms/page is a mid-80s workstation
+// compiler pass over 4 KB of source.
+inline constexpr double kCompileCpuMsPerPage = 5.0;
+
+// The modelled compute of one build (E1), beside its SimDisk I/O time.
+inline double CompileCpuMs(const CompileConfig& c) {
+  const double pages_per_module =
+      c.source_pages + c.headers * c.header_pages + c.source_pages /* object out */;
+  return c.modules * pages_per_module * kCompileCpuMsPerPage;
+}
+
 struct CompileResult {
   uint64_t disk_ops = 0;       // Total disk operations for the build.
   uint64_t virtual_ns = 0;     // Simulated elapsed I/O time.

@@ -54,19 +54,24 @@ ipc_leak_lane() {
 # sends through NetLink proxies racing ~NetLink. It also runs the task-port
 # and manager-death suites: a port holds its task weakly, and the death
 # notify handler's record outlives ~VmSystem, lifetimes only a leak check
-# would catch going wrong.
+# would catch going wrong. Likewise a manager served in its faulters'
+# threads, stopped and destroyed while they enter its upcalls, and the file
+# server copying a file through its own pages.
 fault_ahead_leak_lane() {
   export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1}
   export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1}
   cmake -B build-asan -S . -DMACH_SANITIZE=address
   cmake --build build-asan -j "$jobs" --target vm_test pager_test vm_concurrent_test net_test \
-    kernel_server_test vm_edge_test
+    kernel_server_test vm_edge_test inline_manager_test fs_test
   ./build-asan/tests/vm_test --gtest_filter='FaultAheadTest.*'
   ./build-asan/tests/pager_test --gtest_filter='FaultAheadPagerTest.*:PagerProtocolValidationTest.*:ExternalPagerTest.ForgedOversizeDataRequestIsRejectedAtTheWire'
   ./build-asan/tests/vm_concurrent_test --gtest_filter='VmConcurrentTest.PageProtectNeverReachesADeadTasksPmap:VmConcurrentTest.KernelTeardownRacesManagerProvides'
   ./build-asan/tests/net_test --gtest_filter='NetTest.SendersRacingLinkTeardownSeeSuccessOrPortDeath'
   ./build-asan/tests/kernel_server_test
   ./build-asan/tests/vm_edge_test --gtest_filter='VmManagerDeathTest.*:VmEdgeTest.ManagerDeath*'
+  ./build-asan/tests/inline_manager_test \
+    --gtest_filter='InlineManagerTest.StopAndDestroyWhileFaultersEnterInlineUpcalls'
+  ./build-asan/tests/fs_test --gtest_filter='FsTest.CopyFileThroughReadAndWrite'
 }
 
 mode=${1:-tier1}
@@ -93,15 +98,19 @@ case "$mode" in
     # whose senders' threads run the link and the remote kernel's pager
     # handlers, and kernel_test / vm_edge_test, whose senders run task and
     # thread ports' handlers against checkpoint wakeups and record manager
-    # deaths for the pageout daemon. Kept to the concurrency-heavy binaries
-    # — TSan is ~10x, and the full suite runs in the other lanes.
+    # deaths for the pageout daemon; and the suites whose faulting and
+    # reclaiming threads run the file server's and the recovery manager's
+    # upcalls: inline_manager_test, integration_test and chaos_test, whose
+    # tenant soak runs both managers under crash and link chaos. Kept to
+    # the concurrency-heavy binaries — TSan is ~10x, and the full suite runs
+    # in the other lanes.
     export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}
-    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test|pager_test|migrate_test|kernel_server_test|kernel_test|vm_edge_test)$'
+    tsan_suites='^(hw_test|vm_test|vm_concurrent_test|property_test|ipc_property_test|shm_test|shm_property_test|camelot_test|net_test|fs_test|pager_test|migrate_test|kernel_server_test|kernel_test|vm_edge_test|inline_manager_test|integration_test|chaos_test)$'
     cmake -B build-tsan -S . -DMACH_SANITIZE=thread
     cmake --build build-tsan -j "$jobs" --target \
       hw_test vm_test vm_concurrent_test property_test ipc_property_test shm_test \
       shm_property_test camelot_test net_test fs_test pager_test migrate_test kernel_server_test \
-      kernel_test vm_edge_test
+      kernel_test vm_edge_test inline_manager_test integration_test chaos_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R "$tsan_suites"
     ;;
   perfbench)

@@ -35,8 +35,8 @@ KernReturn SimDisk::CheckTransfer(uint32_t block, VmOffset offset, VmSize len, b
     std::lock_guard<std::mutex> g(mu_);
     bad = bad_blocks_.count(block) != 0;
   }
-  if (!bad && injector_ != nullptr) {
-    bad = injector_->ShouldFail(is_write ? kFaultWrite : kFaultRead);
+  if (FaultInjector* injector = injector_.load(); !bad && injector != nullptr) {
+    bad = injector->ShouldFail(is_write ? kFaultWrite : kFaultRead);
   }
   if (bad) {
     // A failed transfer still costs the seek (and retries re-charge).

@@ -50,9 +50,10 @@ class SimDisk {
   VmSize block_size() const { return block_size_; }
   uint32_t block_count() const { return block_count_; }
 
-  // Attach/detach a fault injector after construction (not thread-safe with
-  // respect to in-flight I/O; do it while the disk is quiescent).
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
+  // Attach/detach a fault injector after construction. A transfer in
+  // flight may still consult the previous one, which must outlive it: the
+  // manager that writes may run in any thread that pages.
+  void set_fault_injector(FaultInjector* injector) { injector_.store(injector); }
 
   // Reads/writes one whole block. Returns kInvalidArgument for out-of-range
   // blocks, kFailure for bad blocks or injected I/O errors.
@@ -94,7 +95,7 @@ class SimDisk {
   const VmSize block_size_;
   SimClock* const clock_;
   const DiskLatencyModel latency_;
-  FaultInjector* injector_;
+  std::atomic<FaultInjector*> injector_;
 
   mutable std::mutex mu_;
   std::vector<std::byte> data_;

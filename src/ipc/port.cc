@@ -43,7 +43,7 @@ Port::Port(std::string label)
 
 Port::~Port() { PortGc::Instance().Unregister(this); }
 
-KernReturn Port::Enqueue(Message&& msg, Timeout timeout, size_t extra_room) {
+KernReturn Port::Enqueue(Message&& msg, Timeout timeout, size_t extra_room, SendLocks locks) {
   if (IpcFaultShouldOverflowEnqueue()) {
     // Simulated queue overflow. The caller's message — rights and all — is
     // destroyed through the ordinary path, exactly like a genuine kPortFull.
@@ -55,7 +55,7 @@ KernReturn Port::Enqueue(Message&& msg, Timeout timeout, size_t extra_room) {
   // A kernel-owned port serves the message here, in the sender's thread. A
   // dead port falls through to the queue path, which reports kPortDead.
   if (kernel_object_ && !dead()) {
-    if (std::optional<KernReturn> served = kernel_object_(*this, msg, timeout)) {
+    if (std::optional<KernReturn> served = kernel_object_(*this, msg, timeout, locks)) {
       return *served;
     }
   }
@@ -122,6 +122,7 @@ PortStatus Port::Status() const {
   st.send_rights = send_refs_.load(std::memory_order_acquire);
   st.dead = dead_;
   st.enabled = !set_.expired();
+  st.death_watches = death_watchers_.size();
   return st;
 }
 
@@ -151,6 +152,30 @@ void Port::RequestDeathNotification(SendRight notify_to) {
     msg.PushU64(id_);
     DeliverNotification(std::move(notify_to), std::move(msg));
   }
+}
+
+void Port::CancelDeathNotification(const SendRight& notify_to) {
+  SendRight withdrawn;  // Dies outside mu_, like every right.
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    auto it = std::find_if(death_watchers_.begin(), death_watchers_.end(),
+                           [&](const SendRight& w) { return w.port() == notify_to.port(); });
+    if (it == death_watchers_.end()) {
+      return;
+    }
+    withdrawn = std::move(*it);
+    death_watchers_.erase(it);
+  }
+}
+
+void Port::SetKernelObjectHandler(KernelObjectHandler handler) {
+  kernel_object_ = [handler = std::move(handler)](Port& port, Message& msg, Timeout timeout,
+                                                  SendLocks) { return handler(port, msg, timeout); };
+}
+
+void Port::SetInlineManagerHandler(InlineManagerHandler handler) {
+  kernel_object_ = std::move(handler);
+  inline_manager_ = true;
 }
 
 void Port::AddDeathAction(std::function<void(uint64_t)> action) {
@@ -373,6 +398,19 @@ Result<PortSet::ReceivedMessage> PortSet::ReceiveFrom(Timeout timeout) {
   }
 }
 
+bool PortSet::WaitForMessage(Timeout timeout) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto ready = [this] {
+    return std::any_of(members_.begin(), members_.end(),
+                       [](const std::shared_ptr<Port>& port) { return port->Status().num_msgs > 0; });
+  };
+  if (!timeout.has_value()) {
+    cv_.wait(lock, ready);
+    return true;
+  }
+  return cv_.wait_for(lock, *timeout, ready);
+}
+
 std::vector<uint64_t> PortSet::PortsWithMessages() const {
   std::lock_guard<std::mutex> g(mu_);
   std::vector<uint64_t> ids;
@@ -407,11 +445,11 @@ PortPair PortAllocate(std::string label) {
   return pair;
 }
 
-KernReturn MsgSend(const SendRight& dest, Message&& msg, Timeout timeout) {
+KernReturn MsgSend(const SendRight& dest, Message&& msg, Timeout timeout, SendLocks locks) {
   if (!dest.valid()) {
     return KernReturn::kInvalidCapability;
   }
-  return dest.port()->Enqueue(std::move(msg), timeout);
+  return dest.port()->Enqueue(std::move(msg), timeout, 0, locks);
 }
 
 Result<Message> MsgReceive(ReceiveRight& from, Timeout timeout) {

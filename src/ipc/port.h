@@ -19,7 +19,10 @@
 // receives messages. A handler runs under whatever locks its sender
 // holds; one that a kernel's own sends can reach (the death-notify port's)
 // takes only leaf locks. NetLink proxies use the same hook to forward in
-// the sender's thread.
+// the sender's thread. A trusted data manager serves its memory-object
+// ports the same way (SetInlineManagerHandler), but only for a send that
+// says it holds no lock (SendLocks::kNone): a fault's page-in and unlock
+// requests and a reclaim's pageout, which call back into their kernel.
 //
 // Lock order: PortSet::mu_ > Port::mu_. A port reaches the kernel layer only
 // through a kernel-object handler, which runs with no port lock held, so
@@ -68,12 +71,21 @@ inline constexpr size_t kDefaultBacklog = 32;
 
 class Port;
 
+// What a sender says about the locks it holds. kNone: none at all, so a
+// handler may run code that calls back into the sender's kernel and takes
+// its locks. Only the VM's lock-free sends say so; every other send,
+// NetLink's deliveries included, is kMayHold.
+enum class SendLocks { kMayHold, kNone };
+
 // Serves messages sent to a kernel-owned port in the sender's thread (see
 // Port::SetKernelObjectHandler), given the sender's timeout. Returns the
 // send's status once it has taken `msg`, or nullopt to leave `msg`
 // untouched, to be queued as usual.
 using KernelObjectHandler =
     std::function<std::optional<KernReturn>(Port& port, Message& msg, Timeout timeout)>;
+// The same, also told the sender's SendLocks (Port::SetInlineManagerHandler).
+using InlineManagerHandler = std::function<std::optional<KernReturn>(
+    Port& port, Message& msg, Timeout timeout, SendLocks locks)>;
 
 // Snapshot of a port's state (port_status, Table 3-2).
 struct PortStatus {
@@ -82,6 +94,7 @@ struct PortStatus {
   size_t send_rights = 0;
   bool dead = false;
   bool enabled = false;  // Member of a port set.
+  size_t death_watches = 0;  // RequestDeathNotification registrations.
 };
 
 class Port : public std::enable_shared_from_this<Port> {
@@ -99,9 +112,11 @@ class Port : public std::enable_shared_from_this<Port> {
   // Enqueues a message; blocks (up to `timeout`) while the backlog is full.
   // `extra_room` lets the queue hold that many messages past its backlog:
   // a transport that must not wait (NetLink) passes its own proxy backlog,
-  // so a full target takes what the proxy would have held. On failure `msg`
-  // is left to the caller.
-  KernReturn Enqueue(Message&& msg, Timeout timeout, size_t extra_room = 0);
+  // so a full target takes what the proxy would have held. `locks` is
+  // passed to the kernel-object handler. On failure `msg` is left to the
+  // caller.
+  KernReturn Enqueue(Message&& msg, Timeout timeout, size_t extra_room = 0,
+                     SendLocks locks = SendLocks::kMayHold);
 
   // Dequeues the next message; blocks (up to `timeout`) while empty.
   // Fails with kPortDead once the port is destroyed *and* drained.
@@ -116,6 +131,8 @@ class Port : public std::enable_shared_from_this<Port> {
   // Registers `notify_to` to receive a kMsgIdPortDeath message when this
   // port is destroyed.
   void RequestDeathNotification(SendRight notify_to);
+  // Withdraws one registration of `notify_to`'s port, if any.
+  void CancelDeathNotification(const SendRight& notify_to);
 
   // Registers a callback invoked exactly once when this port dies, after
   // its queue is drained and its death-notification messages are sent. Runs
@@ -140,7 +157,15 @@ class Port : public std::enable_shared_from_this<Port> {
   // held; a declined message is queued as usual. Install once, before any
   // send right to the port leaves its creator — the handler is read without
   // a lock and never replaced.
-  void SetKernelObjectHandler(KernelObjectHandler handler) { kernel_object_ = std::move(handler); }
+  void SetKernelObjectHandler(KernelObjectHandler handler);
+  // Makes this a memory-object port served by its trusted data manager in
+  // the sending thread (DataManager::Upcalls::kNeverWait): like
+  // SetKernelObjectHandler, but the handler is also told the sender's
+  // SendLocks. Marks the port inline_manager(), so the kernel sends its
+  // reclaim pageouts with the object lock dropped. Install once, before
+  // any send right to the port leaves its creator.
+  void SetInlineManagerHandler(InlineManagerHandler handler);
+  bool inline_manager() const { return inline_manager_; }
 
   // Current number of live send rights naming this port (counted across
   // tasks and in-queue messages alike).
@@ -191,7 +216,8 @@ class Port : public std::enable_shared_from_this<Port> {
   std::vector<SendRight> death_watchers_;
   std::vector<std::function<void(uint64_t)>> death_actions_;
   SendRight no_senders_notify_;
-  KernelObjectHandler kernel_object_;  // Immutable once a send right escapes.
+  InlineManagerHandler kernel_object_;  // Immutable once a send right escapes.
+  bool inline_manager_ = false;         // Likewise.
 };
 
 // A group of enabled ports receivable as one (§3.2 "default group of ports
@@ -216,6 +242,11 @@ class PortSet : public std::enable_shared_from_this<PortSet> {
     uint64_t port_id;
   };
   Result<ReceivedMessage> ReceiveFrom(Timeout timeout);
+
+  // Waits (up to `timeout`) until a member port holds a message, and takes
+  // none: a receiver that may dequeue only under a lock of its own then
+  // polls with ReceiveFrom(kPoll) under it. False on timeout.
+  bool WaitForMessage(Timeout timeout);
 
   // port_messages (Table 3-2): ids of enabled ports with queued messages.
   std::vector<uint64_t> PortsWithMessages() const;
@@ -245,7 +276,8 @@ struct PortPair {
 PortPair PortAllocate(std::string label = "");
 
 // msg_send(message, option, timeout).
-KernReturn MsgSend(const SendRight& dest, Message&& msg, Timeout timeout = kWaitForever);
+KernReturn MsgSend(const SendRight& dest, Message&& msg, Timeout timeout = kWaitForever,
+                   SendLocks locks = SendLocks::kMayHold);
 
 // msg_receive(message, option, timeout).
 Result<Message> MsgReceive(ReceiveRight& from, Timeout timeout = kWaitForever);

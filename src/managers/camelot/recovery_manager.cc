@@ -31,8 +31,13 @@ bool DirGet(const std::vector<std::byte>& in, size_t* pos, T* v) {
 }
 }  // namespace
 
+// Its upcalls wait on no other thread (SimDisk charges virtual time, and mu_
+// is never held across a wait), so faults and reclaims run them inline.
 RecoveryManager::RecoveryManager(SimDisk* data_disk, SimDisk* log_disk, VmSize page_size)
-    : DataManager("camelot"), page_size_(page_size), data_disk_(data_disk), log_(log_disk) {
+    : DataManager("camelot", Upcalls::kNeverWait),
+      page_size_(page_size),
+      data_disk_(data_disk),
+      log_(log_disk) {
   std::lock_guard<std::mutex> g(mu_);
   LoadDirectory();
 }

@@ -1,13 +1,14 @@
 #include "src/managers/fs/fs_server.h"
 
-#include <cstring>
-
 #include "src/base/log.h"
 
 namespace mach {
 
+// Its upcalls wait on no other thread (SimDisk charges virtual time, and
+// fs_mu_ is never held across a wait), so faults and reclaims run them
+// inline.
 FsServer::FsServer(Kernel* kernel, SimDisk* disk)
-    : DataManager("fs"), kernel_(kernel), disk_(disk) {
+    : DataManager("fs", Upcalls::kNeverWait), kernel_(kernel), disk_(disk) {
   task_ = kernel_->CreateTask(nullptr, "fs-server");
   PortPair service = PortAllocate("fs-service");
   service.receive.port()->SetBacklog(256);
@@ -40,6 +41,7 @@ void FsServer::StopServer() {
 }
 
 void FsServer::ApiLoop() {
+  ManagerThread self(*this);  // Its faults on this server's files queue.
   while (serving_.load(std::memory_order_relaxed)) {
     Result<Message> got = service_receive_.port()->Dequeue(std::chrono::milliseconds(20));
     if (!got.ok()) {
@@ -200,7 +202,10 @@ void FsServer::HandleWriteFile(Message& msg) {
       status = KernReturn::kInvalidArgument;
       break;
     }
-    // Materialise the incoming data in our own address space.
+    // Materialise the incoming data in our own address space and read it
+    // all before taking fs_mu_: its pages may be backed by one of this
+    // server's files (a copy made with fs_read_file), and their page-ins
+    // take fs_mu_ (§6.1).
     auto copy = std::static_pointer_cast<VmMapCopy>(ool.value().copy);
     Result<VmOffset> in_addr = kernel_->vm().CopyOut(task_->vm_context(), copy);
     if (!in_addr.ok()) {
@@ -208,27 +213,24 @@ void FsServer::HandleWriteFile(Message& msg) {
       break;
     }
     const VmSize ps = kernel_->page_size();
+    const VmSize new_size = size.value();
+    const size_t pages = static_cast<size_t>(RoundPage(new_size, ps) / ps);
+    std::vector<std::byte> data(pages * ps);
+    status = task_->Read(in_addr.value(), data.data(), new_size);
+    task_->VmDeallocate(in_addr.value(), ool.value().size);
+    if (!IsOk(status)) {
+      break;
+    }
     std::lock_guard<std::mutex> g(fs_mu_);
     auto it = files_.find(name.value());
     if (it == files_.end()) {
       status = KernReturn::kNotFound;
-      task_->VmDeallocate(in_addr.value(), ool.value().size);
       break;
     }
     File* file = &it->second;
     // Store the data to disk, page by page.
-    VmSize new_size = size.value();
-    size_t pages = static_cast<size_t>(RoundPage(new_size, ps) / ps);
     file->blocks.resize(std::max(file->blocks.size(), pages), UINT32_MAX);
-    std::vector<std::byte> buf(ps);
     for (size_t p = 0; p < pages; ++p) {
-      std::memset(buf.data(), 0, ps);
-      VmSize n = std::min<VmSize>(ps, new_size - p * ps);
-      KernReturn kr = task_->Read(in_addr.value() + p * ps, buf.data(), n);
-      if (!IsOk(kr)) {
-        status = kr;
-        break;
-      }
       if (file->blocks[p] == UINT32_MAX) {
         file->blocks[p] = disk_->AllocBlock();
         if (file->blocks[p] == UINT32_MAX) {
@@ -236,7 +238,7 @@ void FsServer::HandleWriteFile(Message& msg) {
           break;
         }
       }
-      status = disk_->WriteBlock(file->blocks[p], buf.data());
+      status = disk_->WriteBlock(file->blocks[p], data.data() + p * ps);
       if (!IsOk(status)) {
         io_errors_.fetch_add(1, std::memory_order_relaxed);
         break;
@@ -251,7 +253,6 @@ void FsServer::HandleWriteFile(Message& msg) {
       }
       write_files_.fetch_add(1, std::memory_order_relaxed);
     }
-    task_->VmDeallocate(in_addr.value(), ool.value().size);
   } while (false);
   reply.PushU32(static_cast<uint32_t>(status));
   Reply(msg, std::move(reply));

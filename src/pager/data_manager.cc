@@ -6,7 +6,24 @@
 
 namespace mach {
 
-DataManager::DataManager(std::string name) : name_(std::move(name)) {
+thread_local const DataManager::ManagerThread* DataManager::ManagerThread::top_ = nullptr;
+
+DataManager::ManagerThread::ManagerThread(const DataManager& manager)
+    : gate_(manager.gate_.get()), up_(top_) {
+  top_ = this;
+}
+
+bool DataManager::ManagerThread::Running(const Gate* gate) {
+  for (const ManagerThread* t = top_; t != nullptr; t = t->up_) {
+    if (t->gate_ == gate) {
+      return true;
+    }
+  }
+  return false;
+}
+
+DataManager::DataManager(std::string name, Upcalls upcalls)
+    : name_(std::move(name)), upcalls_(upcalls) {
   PortPair notify = PortAllocate(name_ + "-notify");
   notify_receive_ = std::move(notify.receive);
   notify_send_ = notify.send;
@@ -21,6 +38,10 @@ void DataManager::Start() {
   if (!running_.compare_exchange_strong(expected, true)) {
     return;
   }
+  {
+    std::lock_guard<std::mutex> g(gate_->dispatch);
+    gate_->manager = this;
+  }
   thread_ = std::thread([this] { ServiceLoop(); });
 }
 
@@ -28,6 +49,10 @@ void DataManager::Stop() {
   bool expected = true;
   if (!running_.compare_exchange_strong(expected, false)) {
     return;
+  }
+  {
+    std::lock_guard<std::mutex> g(gate_->dispatch);  // The inline upcall in flight ends first.
+    gate_->manager = nullptr;
   }
   if (thread_.joinable()) {
     thread_.join();
@@ -42,6 +67,32 @@ SendRight DataManager::CreateMemoryObject(uint64_t cookie, const std::string& la
   // Learn when the last client/kernel send right disappears; `send` below
   // keeps the count above zero, so this can't fire before we return.
   pair.receive.port()->RequestNoSendersNotification(notify_send_);
+  if (upcalls_ == Upcalls::kNeverWait) {
+    pair.receive.port()->SetInlineManagerHandler(
+        [gate = gate_](Port& port, Message& msg, Timeout,
+                       SendLocks locks) -> std::optional<KernReturn> {
+          // An upcall calls back into the sender's kernel (ProvideData) and
+          // takes its object locks, so only a sender that holds none may
+          // run it; every other send queues, as does a call from a thread
+          // already running this manager.
+          if (locks != SendLocks::kNone || ManagerThread::Running(gate.get())) {
+            return std::nullopt;
+          }
+          std::lock_guard<std::mutex> g(gate->dispatch);
+          if (gate->manager == nullptr) {
+            return std::nullopt;  // Stopped: queued, and answered per pager_timeout.
+          }
+          ManagerThread self(*gate->manager);
+          // Whatever the port received before goes first: a write back
+          // before the re-request of its page, pager_init before any request.
+          for (Result<Message> queued = port.TryDequeue(); queued.ok();
+               queued = port.TryDequeue()) {
+            gate->manager->Dispatch(port.id(), std::move(queued).value());
+          }
+          gate->manager->Dispatch(port.id(), std::move(msg));
+          return KernReturn::kSuccess;
+        });
+  }
   SendRight send = pair.send;
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -108,8 +159,19 @@ bool DataManager::LookupCookie(uint64_t object_port_id, uint64_t* cookie_out) co
 }
 
 void DataManager::ServiceLoop() {
+  ManagerThread self(*this);
+  // A message is taken only under the dispatch lock, which an inline upcall
+  // holds while it drains its port: one taken but not yet dispatched could
+  // be overtaken by a later one on its port. A manager with no inline
+  // upcalls receives under the lock; one with them waits outside it without
+  // dequeuing, then polls under it.
+  const bool inline_upcalls = upcalls_ == Upcalls::kNeverWait;
+  const Timeout receive = inline_upcalls ? kPoll : Timeout(std::chrono::milliseconds(20));
   while (running_.load(std::memory_order_relaxed)) {
-    Result<PortSet::ReceivedMessage> got = set_->ReceiveFrom(std::chrono::milliseconds(20));
+    const bool ready = !inline_upcalls || set_->WaitForMessage(std::chrono::milliseconds(20));
+    std::lock_guard<std::mutex> g(gate_->dispatch);
+    Result<PortSet::ReceivedMessage> got =
+        ready ? set_->ReceiveFrom(receive) : Result<PortSet::ReceivedMessage>(KernReturn::kTimedOut);
     if (got.ok()) {
       Dispatch(got.value().port_id, std::move(got.value().message));
     }

@@ -8,9 +8,18 @@
 // kernel calls of Table 3-6, which are sent to the pager request port the
 // kernel supplied in pager_init.
 //
-// All On* upcalls run on the manager's service thread, one at a time — the
-// single-threaded data manager of §4.1. A manager needing concurrency (e.g.
-// to avoid self-deadlock per §6.1) can spawn work from the upcalls.
+// All On* upcalls run one at a time, under the manager's dispatch lock —
+// the single-threaded data manager of §4.1 — on its service thread or, for
+// a manager that declares Upcalls::kNeverWait, in the kernel thread whose
+// lock-free send carried the call: a fault's pager_data_request and
+// pager_data_unlock run in the faulting thread, whose page is installed
+// before its send returns, and a reclaim's pager_data_write runs in the
+// reclaiming thread. Such an inline upcall first dispatches whatever its
+// port received before, so each port keeps its order; the service thread
+// takes a message only under the same lock. A call never runs inline in a
+// thread already running the manager's code (ManagerThread): it queues. A
+// manager needing concurrency (e.g. to avoid self-deadlock per §6.1) can
+// spawn work from the upcalls.
 
 #ifndef SRC_PAGER_DATA_MANAGER_H_
 #define SRC_PAGER_DATA_MANAGER_H_
@@ -33,7 +42,14 @@ namespace mach {
 
 class DataManager {
  public:
-  explicit DataManager(std::string name);
+  // Where the kernel's lock-free sends run the upcalls. kNeverWait promises
+  // that no On* handler waits on another thread, since an inline upcall
+  // cannot time out (§6.1), and that the manager does not override
+  // OnLockCompleted: its reclaim pageouts arrive without the object lock,
+  // so a completion may overtake one.
+  enum class Upcalls { kQueued, kNeverWait };
+
+  explicit DataManager(std::string name, Upcalls upcalls = Upcalls::kQueued);
   virtual ~DataManager();
 
   DataManager(const DataManager&) = delete;
@@ -41,7 +57,10 @@ class DataManager {
 
   const std::string& name() const { return name_; }
 
-  // Starts / stops the service thread. Stop() joins; safe to call twice.
+  // Start() starts the service thread and the inline upcalls. Stop() makes
+  // the memory-object ports' handlers decline, so their messages queue,
+  // waits for the upcall in flight and joins; safe to call twice. Every
+  // subclass destructor calls it first.
   void Start();
   void Stop();
 
@@ -136,6 +155,37 @@ class DataManager {
   void ReleaseMemoryObject(uint64_t object_port_id);
 
  private:
+  struct Gate;
+
+ protected:
+  // Marks the calling thread, while it lives, as running this manager's
+  // code: the service thread, an inline upcall, or a manager's own server
+  // thread (FsServer's API loop). A kernel call to the manager from such a
+  // thread queues instead of running inline, so the manager never
+  // re-enters itself.
+  class ManagerThread {
+   public:
+    explicit ManagerThread(const DataManager& manager);
+    ~ManagerThread() { top_ = up_; }
+    ManagerThread(const ManagerThread&) = delete;
+    ManagerThread& operator=(const ManagerThread&) = delete;
+    static bool Running(const Gate* gate);
+
+   private:
+    static thread_local const ManagerThread* top_;
+    const Gate* const gate_;
+    const ManagerThread* const up_;
+  };
+
+ private:
+  // Shared with the memory-object ports' inline handlers, which can outlive
+  // the manager. Every upcall runs under `dispatch`, whichever thread runs
+  // it; `manager` is null while the manager is stopped.
+  struct Gate {
+    std::mutex dispatch;
+    DataManager* manager = nullptr;
+  };
+
   struct ObjectState {
     ReceiveRight receive;
     uint64_t cookie = 0;
@@ -151,6 +201,8 @@ class DataManager {
   VmSize LookupPageSize(uint64_t object_port_id) const;
 
   const std::string name_;
+  const Upcalls upcalls_;
+  const std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
   mutable std::mutex mu_;
   std::shared_ptr<PortSet> set_ = PortSet::Create();
   std::unordered_map<uint64_t, ObjectState> objects_;  // by port id

@@ -213,7 +213,10 @@ KernReturn VmSystem::SendToPagerLocked(ObjectLock& olk, const std::shared_ptr<Vm
   }
   SendRight pager = object->pager;
   ScopedUnlock unlock(olk);
-  return MsgSend(pager, std::move(msg), bound);
+  // With the object lock dropped the faulter holds no VM lock (ResolvePage
+  // takes none on entry), so a manager served in the sender's thread may
+  // answer here, its pager_data_provided settling `req` before this returns.
+  return MsgSend(pager, std::move(msg), bound, SendLocks::kNone);
 }
 
 PageRequest* VmSystem::FindRequestLocked(VmObject& object, PageRequest::Kind kind,

@@ -16,7 +16,9 @@
 // A page is either settled (its data present) or a placeholder held by one
 // in-flight PageRequest (vm_object.h): `busy` marks the second, from the
 // request's send until its owner releases it, whether or not the answer has
-// come in. The page-in's outcome lives in the request, not in the page.
+// come in. The page-in's outcome lives in the request, not in the page. A
+// reclaim also marks busy the run it writes to a manager served in its
+// thread, while the object lock is dropped for that send.
 //
 // Locking: a page's state fields (busy, error, page_lock, dirty, identity
 // and pin_count) are protected by the *owning VmObject's* lock; the
@@ -55,11 +57,11 @@ struct VmPage {
   uint32_t frame = UINT32_MAX;
 
   // Page state (§5.3 and Mach's vm_page):
-  bool busy = false;    // A placeholder held by an in-flight PageRequest;
+  bool busy = false;    // A placeholder held by an in-flight PageRequest,
+                        // or a page of a run a reclaim is writing unlocked;
                         // other faulters wait on the owning object's
-                        // condition variable. Only the request's owner
-                        // clears it (or frees the page), when it releases
-                        // the request.
+                        // condition variable. Only the request's owner (the
+                        // reclaim) clears it or frees the page.
   bool error = false;   // The page's manager died with the page requested
                         // under OnPagerTimeout::kError: faults answer
                         // kMemoryError.

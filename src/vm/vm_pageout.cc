@@ -10,14 +10,19 @@
 // busy or pinned pages). All sends on this path are non-blocking: a manager
 // that cannot accept its dirty data promptly has the data *parked* with the
 // trusted default pager instead (§6.2.2), so an errant manager can never
-// wedge the kernel's memory pool.
+// wedge the kernel's memory pool. The one send that may run long is a
+// reclaim's to a manager served in the sender's thread
+// (Port::inline_manager()): that manager promised never to wait, and its
+// OnDataWrite runs in the reclaiming thread.
 //
 // Locking: the scan runs under queue_mu_ and must take object locks in the
 // reverse of the documented order, so it only ever try_locks an object —
 // contended pages rotate to the queue tail and the scan moves on. A chosen
 // victim is unqueued, queue_mu_ is dropped, and the pageout itself runs
-// under the object lock alone. Manager handlers run under the owning
-// object's lock and finish with a targeted cv broadcast.
+// under the object lock alone, except that a reclaim's send to an inline
+// manager drops it too, the run's pages busy meanwhile. Manager handlers
+// run under the owning object's lock and finish with a targeted cv
+// broadcast.
 
 #include <algorithm>
 #include <cassert>
@@ -68,13 +73,8 @@ void VmSystem::PageoutDaemonMain() {
     lk.unlock();
     MaybeDrainDeferred();
     {
-      // Age pages: keep roughly a third of the in-use pool on the inactive
-      // queue so reference information accumulates.
       std::lock_guard<std::mutex> qlk(queue_mu_);
-      uint32_t inactive_target = (active_count_ + inactive_count_) / 3;
-      while (inactive_count_ < inactive_target && !active_queue_.empty()) {
-        PageDeactivateLocked(active_queue_.Front());
-      }
+      AgePagesLocked();
     }
     // Replenish free memory.
     uint32_t free = phys_->free_frames();
@@ -82,6 +82,15 @@ void VmSystem::PageoutDaemonMain() {
       ReclaimPass(free_target_ - free);
     }
     lk.lock();
+  }
+}
+
+void VmSystem::AgePagesLocked() {
+  // Keep roughly a third of the in-use pool on the inactive queue so
+  // reference information accumulates.
+  uint32_t inactive_target = (active_count_ + inactive_count_) / 3;
+  while (inactive_count_ < inactive_target && !active_queue_.empty()) {
+    PageDeactivateLocked(active_queue_.Front());
   }
 }
 
@@ -96,6 +105,9 @@ uint32_t VmSystem::ReclaimPass(uint32_t want) {
       if (active_queue_.empty()) {
         break;
       }
+      // Age as the daemon does, so a victim's dirty neighbours are inactive
+      // too and its write-back clusters, whichever thread reclaims.
+      AgePagesLocked();
       PageDeactivateLocked(active_queue_.Front());
       continue;
     }
@@ -195,6 +207,9 @@ void VmSystem::DropPagerLocked(ChainLock& chain, ObjectLock& olk, VmObject* obje
   // reverse.
   if (object->pager.valid()) {
     objects_by_pager_.erase(object->pager.id());
+    // The kernel stops watching the port: a later death notice would name
+    // an object it no longer has.
+    object->pager.port()->CancelDeathNotification(death_notify_send_);
   }
   if (object->request_receive.valid()) {
     objects_by_request_.erase(object->request_receive.id());
@@ -257,13 +272,13 @@ uint32_t VmSystem::PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmOb
   // the object's contiguous dirty neighbours so one message carries the
   // whole run instead of one per page.
   std::vector<VmPage*> run = CollectPageoutClusterLocked(object.get(), page);
-  switch (WritePageoutRun(olk, object, run, /*park_on_failure=*/true)) {
-    case RunWriteResult::kWritten:
-    case RunWriteResult::kParked:
-      PagesFreeLocked(olk, run);
-      return static_cast<uint32_t>(run.size());
-    case RunWriteResult::kFailed:
-      break;
+  if (WritePageoutRun(olk, object, run, /*park_on_failure=*/true, /*reclaim=*/true) !=
+          RunWriteResult::kFailed ||
+      !object->alive) {
+    // Written or parked; or orphaned to us by a termination while the send
+    // had the object unlocked, as a request's placeholders are.
+    PagesFreeLocked(olk, run);
+    return static_cast<uint32_t>(run.size());
   }
   // Unprotected mode (ablation): give up on these pages for now.
   for (VmPage* p : run) {
@@ -355,20 +370,44 @@ std::vector<std::vector<VmPage*>> VmSystem::BuildPageoutRuns(
 VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
                                                    const std::shared_ptr<VmObject>& object,
                                                    const std::vector<VmPage*>& run,
-                                                   bool park_on_failure) {
-  (void)olk;
+                                                   bool park_on_failure, bool reclaim) {
   const VmSize ps = page_size();
   PagerDataWriteArgs args;
   args.offset = run.front()->offset;
-  // The run moves into the message; the frames stay resident under the
-  // object lock, so the parking fallback below re-reads them instead.
+  // The run moves into the message; the frames stay resident, so the
+  // parking fallback below re-reads them instead.
   args.data.resize(run.size() * ps);
   for (size_t i = 0; i < run.size(); ++i) {
     phys_->ReadFrame(run[i]->frame, 0, args.data.data() + i * ps, ps);
   }
   counters_.pageout_runs.fetch_add(1, std::memory_order_relaxed);
   counters_.pageout_run_pages.fetch_add(run.size(), std::memory_order_relaxed);
-  if (IsOk(MsgSend(object->pager, EncodePagerDataWrite(std::move(args)), kPoll))) {
+  Message msg = EncodePagerDataWrite(std::move(args));
+  const SendRight pager = object->pager;
+  KernReturn kr;
+  if (reclaim && pager.port()->inline_manager()) {
+    // A reclaim holds no lock but this one (ReclaimPass), so it drops it and
+    // the manager's OnDataWrite runs in this thread. The run stays busy
+    // meanwhile: unmapped and unqueued, its frames unchanged, and a faulter
+    // that wants one of its pages waits for it.
+    for (VmPage* p : run) {
+      p->busy = true;
+    }
+    {
+      ScopedUnlock unlock(olk);
+      kr = MsgSend(pager, std::move(msg), kPoll, SendLocks::kNone);
+    }
+    for (VmPage* p : run) {
+      p->busy = false;
+    }
+    object->cv.notify_all();
+    if (object->pager.port() != pager.port()) {
+      kr = KernReturn::kPortDead;  // The manager was dropped meanwhile.
+    }
+  } else {
+    kr = MsgSend(pager, std::move(msg), kPoll);
+  }
+  if (IsOk(kr)) {
     counters_.pageouts.fetch_add(run.size(), std::memory_order_relaxed);
     // The pager now holds these offsets: chain collapse must account for
     // them even though no pages are resident.
@@ -378,7 +417,8 @@ VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
     return RunWriteResult::kWritten;
   }
   // The manager did not accept the data (queue full / port dead).
-  if (park_on_failure && config_.errant_manager_protection && parking_ != nullptr) {
+  if (park_on_failure && object->alive && config_.errant_manager_protection &&
+      parking_ != nullptr) {
     // §6.2.2: divert to the default pager so pageout is never starved. The
     // parking store is per-page; each frame is read again for it.
     for (VmPage* page : run) {

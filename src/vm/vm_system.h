@@ -68,15 +68,20 @@
 //      a flush's write-back inside a request port's handler), so it takes
 //      only DeferredWork::mu, a leaf, and never KernelCallGuard.
 //      NetLink's locks are leaves like these: a kPoll send under an object
-//      lock may forward through a proxy in the sending thread.
+//      lock may forward through a proxy in the sending thread. A trusted
+//      manager's memory-object port (Port::inline_manager()) runs the
+//      manager, which calls back into this kernel, only for a send marked
+//      SendLocks::kNone: a fault's request or unlock, sent with no VM lock
+//      held, and a reclaim's pageout, sent with its object lock dropped and
+//      the run's pages busy. Every other send to it queues.
 //
 // Blocking operations never hold a lock they could convoy on: a fault waits
 // for its request to the data manager (a PageRequest on its stack, see
 // vm_object.h), or for another's busy placeholder, on the owning object's
 // condition variable (targeted wakeups, §5 busy/wanted protocol), message
-// sends to managers release the object lock (non-blocking kPoll sends
-// excepted), and a fault installs its frame into the pmap under the map lock
-// only, holding a pin on the page rather than the object lock.
+// sends to managers release the object lock (non-blocking kPoll sends to a
+// queue excepted), and a fault installs its frame into the pmap under the
+// map lock only, holding a pin on the page rather than the object lock.
 
 #ifndef SRC_VM_VM_SYSTEM_H_
 #define SRC_VM_VM_SYSTEM_H_
@@ -671,6 +676,9 @@ class VmSystem {
   // The pageout daemon's scan interval.
   static constexpr std::chrono::milliseconds kPageoutInterval{25};
   void PageoutDaemonMain();
+  // Moves the oldest active pages to the inactive queue until it holds a
+  // third of the in-use pool. Caller holds queue_mu_.
+  void AgePagesLocked();
   // Frees up to `want` frames from the inactive queue; returns the number
   // freed. Takes queue_mu_ and object locks (try_lock) internally; no locks
   // held on entry.
@@ -696,11 +704,14 @@ class VmSystem {
   // Sends one pager_data_write covering `run` (contiguous, same object).
   // kWritten: accepted, paged_offsets updated. kParked: the manager did not
   // take the message and every page's data went to the §6.2.2 parking
-  // store. kFailed: not written and not parked (unprotected mode); the
-  // pages stay dirty. Caller holds the owner's mu.
+  // store. kFailed: not written and not parked (unprotected mode, or the
+  // object died); the pages stay dirty. Caller holds the owner's mu. A
+  // `reclaim` (ReclaimPass, which holds no other lock) sends to a manager
+  // served in the sender's thread with that lock dropped.
   enum class RunWriteResult { kWritten, kParked, kFailed };
   RunWriteResult WritePageoutRun(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
-                                 const std::vector<VmPage*>& run, bool park_on_failure);
+                                 const std::vector<VmPage*>& run, bool park_on_failure,
+                                 bool reclaim = false);
 
   // Handles the recorded manager deaths and drains deferred VmMapCopy
   // releases, if any are pending. Callers must hold no VM locks.

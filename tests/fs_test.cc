@@ -71,6 +71,21 @@ class FsTest : public ::testing::Test {
   std::unique_ptr<FsClient> client_;
 };
 
+TEST_F(FsTest, CopyFileThroughReadAndWrite) {
+  // fs_read_file's memory, written back with fs_write_file untouched: the
+  // server reads pages its own file backs, so it must not hold its file
+  // lock across that read, or its page-ins wait out pager_timeout (§6.1).
+  std::vector<uint8_t> content(2 * kPage);
+  std::iota(content.begin(), content.end(), uint8_t{7});
+  PutFile("src", content);
+  Result<FsClient::ReadResult> src = client_->ReadFile("src");
+  ASSERT_TRUE(src.ok());
+  ASSERT_EQ(client_->Create("dst"), KernReturn::kSuccess);
+  ASSERT_EQ(client_->WriteFile("dst", src.value().address, src.value().size),
+            KernReturn::kSuccess);
+  EXPECT_EQ(Fetch("dst"), content);
+}
+
 TEST_F(FsTest, CreateStatDelete) {
   EXPECT_EQ(client_->Create("a"), KernReturn::kSuccess);
   EXPECT_EQ(client_->Create("a"), KernReturn::kAlreadyExists);
