@@ -202,11 +202,18 @@ void FsServer::HandleWriteFile(Message& msg) {
       status = KernReturn::kInvalidArgument;
       break;
     }
+    // The data must lie inside the out-of-line region: a larger size would
+    // read past its mapping, and near 2^64 RoundPage wraps to 0. The region
+    // is the copy's own size, not the sender's word for it.
+    auto copy = std::static_pointer_cast<VmMapCopy>(ool.value().copy);
+    if (copy == nullptr || size.value() > copy->size()) {
+      status = KernReturn::kInvalidArgument;
+      break;
+    }
     // Materialise the incoming data in our own address space and read it
     // all before taking fs_mu_: its pages may be backed by one of this
     // server's files (a copy made with fs_read_file), and their page-ins
     // take fs_mu_ (§6.1).
-    auto copy = std::static_pointer_cast<VmMapCopy>(ool.value().copy);
     Result<VmOffset> in_addr = kernel_->vm().CopyOut(task_->vm_context(), copy);
     if (!in_addr.ok()) {
       status = in_addr.status();
@@ -217,7 +224,7 @@ void FsServer::HandleWriteFile(Message& msg) {
     const size_t pages = static_cast<size_t>(RoundPage(new_size, ps) / ps);
     std::vector<std::byte> data(pages * ps);
     status = task_->Read(in_addr.value(), data.data(), new_size);
-    task_->VmDeallocate(in_addr.value(), ool.value().size);
+    task_->VmDeallocate(in_addr.value(), copy->size());
     if (!IsOk(status)) {
       break;
     }

@@ -86,6 +86,34 @@ TEST_F(FsTest, CopyFileThroughReadAndWrite) {
   EXPECT_EQ(Fetch("dst"), content);
 }
 
+TEST_F(FsTest, WriteFileSizePastItsDataIsRejected) {
+  // A forged fs_write_file whose size runs past its one out-of-line page:
+  // the server must neither read past that page nor size a buffer from an
+  // unchecked client value (RoundPage(UINT64_MAX) wraps to 0).
+  std::vector<uint8_t> content(kPage, uint8_t{0x5a});
+  PutFile("dst", content);
+  VmOffset buf = client_task_->VmAllocate(kPage).value();
+  for (uint64_t size : {uint64_t{UINT64_MAX}, uint64_t{2 * kPage}}) {
+    Result<std::shared_ptr<VmMapCopy>> copy =
+        kernel_->vm().CopyIn(client_task_->vm_context(), buf, kPage);
+    ASSERT_TRUE(copy.ok());
+    Message request(kMsgFsWriteFile);
+    request.PushString("dst");
+    request.PushU64(size);
+    request.PushOol(copy.value(), copy.value()->size());
+    Result<Message> reply = MsgRpc(server_->service_port(), std::move(request), kWaitForever,
+                                   std::chrono::seconds(10));
+    ASSERT_TRUE(reply.ok()) << KernReturnName(reply.status());
+    EXPECT_EQ(static_cast<KernReturn>(reply.value().TakeU32().value()),
+              KernReturn::kInvalidArgument)
+        << size;
+  }
+  client_task_->VmDeallocate(buf, kPage);
+  // The server still answers, and the file is as it was.
+  EXPECT_EQ(client_->Stat("dst").value(), kPage);
+  EXPECT_EQ(Fetch("dst"), content);
+}
+
 TEST_F(FsTest, CreateStatDelete) {
   EXPECT_EQ(client_->Create("a"), KernReturn::kSuccess);
   EXPECT_EQ(client_->Create("a"), KernReturn::kAlreadyExists);
